@@ -17,18 +17,31 @@
 // the chunked rows to beat the per-element rows on the wide sweep
 // (--chunked-speedup). The sweep itself asserts chunked/element end-date
 // equality before writing anything.
+//
+// The same file carries the fiber-switch cost rows (one row per
+// "switch_path"): kSwitchRoundTrips round trips through two bench-local
+// ping-pongs of the same shape, one on the kernel's fiber switch
+// (kernel/fiber_context.h) and one on glibc's swapcontext, the switch the
+// kernel used before its hand-written x86-64 one. check_bench.py requires
+// the fiber path to be at least 3x faster per round trip. A third row times
+// as many thread resumes through the kernel -- a thread suspending in
+// wait() and being resumed by the scheduler -- for reference only.
 #include <benchmark/benchmark.h>
+#include <ucontext.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_json.h"
 #include "core/arbiter.h"
 #include "kernel/sync_domain.h"
 #include "core/smart_fifo.h"
 #include "core/sync_fifo.h"
+#include "kernel/fiber_context.h"
 #include "kernel/kernel.h"
 
 namespace {
@@ -318,6 +331,119 @@ void add_sweep_row(benchjson::Report& report, const char* mode,
       .add("syncs_fifo_empty", r.stats.syncs(tdsim::SyncCause::FifoEmpty));
 }
 
+// ---------------------------------------------------------------------
+// --json: fiber-switch cost rows (perf-gated by CI)
+// ---------------------------------------------------------------------
+
+/// Sized so the swapcontext reference takes over 0.1 s, twice
+/// check_bench.py's noise floor, even where a swapcontext round trip costs
+/// only ~200 ns.
+constexpr std::uint64_t kSwitchRoundTrips = 1 << 20;
+
+/// kSwitchRoundTrips thread resumes through the kernel: each is a switch
+/// into the thread, a wait(1 ns) and the switch back to the scheduler.
+double kernel_round_trips_wall(std::uint64_t round_trips,
+                               std::uint64_t& context_switches) {
+  Kernel kernel;
+  kernel.spawn_thread("ping", [&] {
+    for (std::uint64_t i = 0; i < round_trips; ++i) {
+      tdsim::wait(1_ns);
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  kernel.run();
+  const auto stop = std::chrono::steady_clock::now();
+  context_switches = kernel.stats().context_switches;
+  return std::chrono::duration<double>(stop - start).count();
+}
+
+ucontext_t g_driver_context;
+ucontext_t g_pong_context;
+
+void pong() {
+  for (;;) {
+    swapcontext(&g_pong_context, &g_driver_context);
+  }
+}
+
+/// A bare swapcontext ping-pong between the calling thread and one fiber:
+/// no scheduler work at all, only the two switches (each with its
+/// signal-mask system call).
+double swapcontext_round_trips_wall(std::uint64_t round_trips) {
+  std::vector<char> stack(64 * 1024);
+  if (getcontext(&g_pong_context) != 0) {
+    std::perror("getcontext");
+    std::exit(1);
+  }
+  g_pong_context.uc_stack.ss_sp = stack.data();
+  g_pong_context.uc_stack.ss_size = stack.size();
+  g_pong_context.uc_link = nullptr;
+  makecontext(&g_pong_context, &pong, 0);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < round_trips; ++i) {
+    swapcontext(&g_driver_context, &g_pong_context);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count();
+}
+
+tdsim::fiber::Context g_fiber_driver;
+tdsim::fiber::Context g_fiber_pong;
+
+void fiber_pong(void*) {
+  for (;;) {
+    tdsim::fiber::swap(g_fiber_pong, g_fiber_driver);
+  }
+}
+
+/// The same ping-pong on the kernel's fiber switch.
+double fiber_round_trips_wall(std::uint64_t round_trips) {
+  std::vector<char> stack(64 * 1024);
+  tdsim::fiber::make_frame(g_fiber_pong, stack.data(), stack.size(),
+                           &fiber_pong, nullptr);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < round_trips; ++i) {
+    tdsim::fiber::swap(g_fiber_driver, g_fiber_pong);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count();
+}
+
+void add_switch_rows(benchjson::Report& report) {
+  std::uint64_t context_switches = 0;
+  const double kernel_wall =
+      kernel_round_trips_wall(kSwitchRoundTrips, context_switches);
+  const double swapcontext_wall =
+      swapcontext_round_trips_wall(kSwitchRoundTrips);
+  const double fiber_wall = fiber_round_trips_wall(kSwitchRoundTrips);
+  const double per_trip = 1e9 / static_cast<double>(kSwitchRoundTrips);
+  std::printf("\nfiber switch cost: %llu round trips\n",
+              static_cast<unsigned long long>(kSwitchRoundTrips));
+  std::printf("%12s | %8s | %8s\n", "path", "wall[s]", "ns/trip");
+  std::printf("%12s | %8.3f | %8.1f\n", "kernel", kernel_wall,
+              kernel_wall * per_trip);
+  std::printf("%12s | %8.3f | %8.1f\n", "swapcontext", swapcontext_wall,
+              swapcontext_wall * per_trip);
+  std::printf("%12s | %8.3f | %8.1f\n", "fiber", fiber_wall,
+              fiber_wall * per_trip);
+  report.row()
+      .add("switch_path", std::string("kernel"))
+      .add("round_trips", kSwitchRoundTrips)
+      .add("context_switches", context_switches)
+      .add("wall_seconds", kernel_wall)
+      .add("wall_ns_per_round_trip", kernel_wall * per_trip);
+  report.row()
+      .add("switch_path", std::string("swapcontext"))
+      .add("round_trips", kSwitchRoundTrips)
+      .add("wall_seconds", swapcontext_wall)
+      .add("wall_ns_per_round_trip", swapcontext_wall * per_trip);
+  report.row()
+      .add("switch_path", std::string("fiber"))
+      .add("round_trips", kSwitchRoundTrips)
+      .add("wall_seconds", fiber_wall)
+      .add("wall_ns_per_round_trip", fiber_wall * per_trip);
+}
+
 int json_main(std::uint64_t words) {
   constexpr std::size_t kChunkCapacity = 16;
   constexpr std::size_t kDepths[] = {4, 64, 256};
@@ -349,6 +475,7 @@ int json_main(std::uint64_t words) {
                  "ERROR: chunked/element date or block-count mismatch\n");
     return 1;
   }
+  add_switch_rows(report);
   return report.write() ? 0 : 1;
 }
 

@@ -15,15 +15,18 @@
 // Links discovered at the initialization wave -- which runs sequentially
 // even in parallel mode, and is when virtually every channel meets both
 // its sides -- are in place before the first parallel round. The fields
-// are atomics so that the pathological case of two *concurrent* groups
-// making first contact on one channel inside the same parallel round
-// still records the link race-free (the kernel re-partitions at the next
-// horizon); the channel's own state has no such protection, so a model
-// must not let unlinked concurrent domains exchange data in the very
-// round that first couples them -- declare such couplings up front with
-// Kernel::link_domains, as with any coupling no channel can see (e.g. a
-// plain variable shared across concurrent domains). See README "Parallel
-// execution".
+// are atomics so that two *concurrent* groups making first contact on one
+// channel still record the link race-free (the kernel re-partitions at
+// the next horizon). The channel's own state has no such protection, and
+// a first contact after initialization is unsafe in general, not only
+// inside one parallel round: until a horizon merges the two groups, a
+// group with no declared links has an unbounded lookahead window, so it
+// can free-run far past the global horizon and reach the channel while
+// the other side's group is still using it at earlier dates. Declare
+// every coupling whose first traffic happens after initialization up
+// front with Kernel::link_domains, as with any coupling no channel can
+// see (e.g. a plain variable shared across concurrent domains). See
+// README "Parallel execution".
 #pragma once
 
 #include <atomic>

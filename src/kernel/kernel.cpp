@@ -2146,7 +2146,7 @@ void Kernel::dispatch_thread(Process* p) {
   Process* previous = std::exchange(exec.current_process, p);
   fiber::start_switch(&exec.scheduler_fake_stack, p->stack_bottom(),
                       p->stack_usable_size(), p->tsan_fiber_);
-  swapcontext(&exec.scheduler_context, &p->context_);
+  fiber::swap(exec.scheduler_context, p->context_);
   fiber::finish_switch(exec.scheduler_fake_stack, nullptr, nullptr);
   exec.current_process = previous;
   if (p->state_ == ProcessState::Terminated) {
@@ -2203,7 +2203,7 @@ void Kernel::yield_current_thread() {
   Process* p = from.current_process;
   fiber::start_switch(&p->fake_stack_, from.scheduler_stack_bottom,
                       from.scheduler_stack_size, from.tsan_fiber);
-  swapcontext(&p->context_, &from.scheduler_context);
+  fiber::swap(p->context_, from.scheduler_context);
   // Resumed -- in parallel mode possibly under a different worker's
   // execution context; re-read the thread-local before refreshing the
   // scheduler-stack bookkeeping.
@@ -2349,7 +2349,7 @@ void Kernel::kill_all_threads() {
       Process* previous = std::exchange(main_exec_.current_process, p.get());
       fiber::start_switch(&main_exec_.scheduler_fake_stack, p->stack_bottom(),
                           p->stack_usable_size(), p->tsan_fiber_);
-      swapcontext(&main_exec_.scheduler_context, &p->context_);
+      fiber::swap(main_exec_.scheduler_context, p->context_);
       fiber::finish_switch(main_exec_.scheduler_fake_stack, nullptr, nullptr);
       main_exec_.current_process = previous;
       if (p->state_ != ProcessState::Terminated) {
@@ -2496,7 +2496,10 @@ void Kernel::arm_faults(FaultPlan plan) {
 
 void Kernel::apply_faults(Process& p) {
   for (std::size_t i = 0; i < fault_plan_.actions.size(); ++i) {
-    if (fault_fired_[i] != 0) {
+    // Groups on other workers read every latch while one group sets its
+    // own; atomic_ref keeps those concurrent accesses defined.
+    if (std::atomic_ref<char>(fault_fired_[i]).load(
+            std::memory_order_relaxed) != 0) {
       continue;
     }
     const FaultAction& action = fault_plan_.actions[i];
@@ -2508,7 +2511,8 @@ void Kernel::apply_faults(Process& p) {
     // Only the thread dispatching the trigger process writes here, and a
     // process is dispatched by one thread at a time (scheduler-serialized
     // within its group), so relaxed ordering suffices.
-    fault_fired_[i] = 1;
+    std::atomic_ref<char>(fault_fired_[i]).store(1,
+                                                 std::memory_order_relaxed);
     faults_pending_.fetch_sub(1, std::memory_order_relaxed);
     switch (action.kind) {
       case FaultAction::Kind::Throw: {

@@ -535,7 +535,7 @@ class Kernel {
     }
   };
 
-  /// Per-OS-thread fiber dispatch state: the scheduler-side ucontext plus
+  /// Per-OS-thread fiber dispatch state: the scheduler-side context plus
   /// the sanitizer bookkeeping for the stack that context lives on. The
   /// sequential scheduler owns one (main_exec_); in parallel mode each
   /// group execution gets its own, so fibers can suspend under one worker
@@ -550,7 +550,7 @@ class Kernel {
     /// Bundled here so the synchronization hot path resolves process and
     /// stats in a single thread-local read (sync_context()).
     KernelStats* stats = nullptr;
-    ucontext_t scheduler_context{};
+    fiber::Context scheduler_context{};
     /// Scheduler (OS thread) stack bounds, learned each time a fiber
     /// resumes and reports where it came from; used when switching back.
     const void* scheduler_stack_bottom = nullptr;
@@ -875,7 +875,7 @@ class Kernel {
   /// read of t_exec_/t_task_ that can happen after a suspension point MUST
   /// go through these noinline accessors. Were the reads inlined, the
   /// compiler could legally cache the TLS slot's address across a
-  /// swapcontext -- and a fiber resumed on a different worker would then
+  /// fiber::swap -- and a fiber resumed on a different worker would then
   /// read (and race on) the *original* thread's slot.
   __attribute__((noinline)) static ExecContext* thread_exec();
   __attribute__((noinline)) static GroupTask* thread_task();

@@ -2,7 +2,7 @@
 // kernel (see README "Fleet / scheduler").
 //
 // A fiber-stack memcpy checkpoint of a running kernel would be hopelessly
-// fragile (ucontext stacks, TLS, sanitizer bookkeeping, raw pointers
+// fragile (saved machine contexts, TLS, sanitizer bookkeeping, raw pointers
 // everywhere). tdsim does not need one: the scheduler is deterministic, so
 // *replaying the construction log* reproduces the exact same kernel state
 // -- clocks, domains, queues, fiber positions, counters -- bit for bit.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,56 @@ TEST(Kernel, TeardownUnwindsBlockedThreadStacks) {
     EXPECT_FALSE(destroyed);
   }
   EXPECT_TRUE(destroyed);
+}
+
+/// 1/3 computed at run time, so the division is rounded by the current
+/// SSE control register (fegetround() reads the x87 control word).
+double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(Kernel, EachThreadKeepsItsOwnFloatingPointEnvironment) {
+  // A fiber switch saves and restores the floating-point control state
+  // per execution context: a rounding mode set in one thread stays with
+  // that thread, and never leaks into a sibling or the scheduler.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one_third();
+  std::vector<int> upward_modes;
+  std::vector<double> upward_quotients;
+  std::vector<int> sibling_modes;
+  std::vector<double> sibling_quotients;
+  Kernel k;
+  k.spawn_thread("upward", [&] {
+    std::fesetround(FE_UPWARD);
+    for (int i = 0; i < 3; ++i) {
+      k.wait(1_ns);
+      upward_modes.push_back(std::fegetround());
+      upward_quotients.push_back(one_third());
+    }
+  });
+  k.spawn_thread("sibling", [&] {
+    for (int i = 0; i < 4; ++i) {
+      sibling_modes.push_back(std::fegetround());
+      sibling_quotients.push_back(one_third());
+      k.wait(1_ns);
+    }
+  });
+  k.run();
+  const int mode_after_run = std::fegetround();
+  const double quotient_after_run = one_third();
+  std::fesetround(FE_TONEAREST);  // keep a failure out of later tests
+  EXPECT_EQ(mode_after_run, FE_TONEAREST);
+  EXPECT_EQ(quotient_after_run, nearest);
+  EXPECT_EQ(upward_modes, std::vector<int>(3, FE_UPWARD));
+  for (double q : upward_quotients) {
+    EXPECT_GT(q, nearest);
+  }
+  EXPECT_EQ(sibling_modes, std::vector<int>(4, FE_TONEAREST));
+  for (double q : sibling_quotients) {
+    EXPECT_EQ(q, nearest);
+  }
 }
 
 TEST(Kernel, CurrentProcessTracksExecution) {

@@ -161,8 +161,9 @@ TEST(Scale, StackPoolAlignsAndSizes) {
   StackPool::Acquired small = pool.acquire(100, /*guard=*/false);
   ASSERT_TRUE(static_cast<bool>(small.block));
   EXPECT_GE(small.block.size, kMinStackClass);
-  // The ucontext ABI bugfix: the stack top (ss_sp + ss_size) must be
-  // 16-byte aligned. Pool blocks are page-aligned on both ends.
+  // The stack-alignment bugfix: the stack top (sp + size), under which
+  // the fiber's first frame is built, must be 16-byte aligned as the SysV
+  // ABI requires. Pool blocks are page-aligned on both ends.
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.block.sp) % 4096, 0u);
   EXPECT_EQ((reinterpret_cast<std::uintptr_t>(small.block.sp) +
              small.block.size) %

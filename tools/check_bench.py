@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark regression gate for the BENCH_*.json files the benches emit.
 
-Six checks, run by CI's perf-gate job (see .github/workflows/ci.yml):
+Eight checks, run by CI's perf-gate job (see .github/workflows/ci.yml):
 
 1. Determinism vs committed baseline (bench/baselines/): every numeric
    field except wall-clock ones must match the baseline bit-for-bit.
@@ -91,6 +91,23 @@ Six checks, run by CI's perf-gate job (see .github/workflows/ci.yml):
    covered by check 1, which holds the pooled allocator and both worker
    sweeps to bit-exactness against the committed baseline. Noise-floored
    on the malloc reference sums like the other relative gates.
+
+8. Fiber-switch gate: rows carrying a "switch_path" field
+   (bench_fifo_ops --json) time the same number of round trips through
+   two bare ping-pongs of the same shape, one on the kernel's own fiber
+   switch ("fiber", kernel/fiber_context.h) and one on glibc's
+   swapcontext ("swapcontext"), the switch the kernel used before its
+   hand-written x86-64 one. The fiber path must be at least
+   SWITCH_SPEEDUP (3.0) times faster per round trip. A third row
+   ("kernel") times thread resumes through the whole scheduler; it is
+   informational, and only its deterministic fields are compared.
+   Noise-floored on the swapcontext wall.
+
+The run is meant to exercise every gate above (GATES): one that is
+skipped anywhere (noise floor, too few cores) or never evaluated by any
+of the given files fails the run instead of passing quietly. The
+adaptive gate's "n/a" for a group with no fixed rows in the adaptive
+rows' execution mode is structural, not a skip, and does not count.
 
 Wall-clock fields (any key containing "wall" or "seconds") are never
 compared against the baseline: baselines are committed from whatever
@@ -306,6 +323,35 @@ def check_scale_alloc(name, rows, min_speedup, min_ref_wall, out):
     return failures
 
 
+# How many times faster than swapcontext the fiber switch must be.
+SWITCH_SPEEDUP = 3.0
+
+
+def check_switch_speedup(name, rows, min_ref_wall, out):
+    """The fiber ping-pong must beat the same swapcontext ping-pong."""
+    per_trip = {}
+    walls = {}
+    for row in rows:
+        if "switch_path" in row and "wall_seconds" in row:
+            per_trip[row["switch_path"]] = row["wall_ns_per_round_trip"]
+            walls[row["switch_path"]] = row["wall_seconds"]
+    fiber = per_trip.get("fiber")
+    reference = per_trip.get("swapcontext")
+    if fiber is None or reference is None:
+        return 0
+    if walls["swapcontext"] < min_ref_wall:
+        out.append(f"skip {name}: swapcontext wall "
+                   f"{walls['swapcontext']:.3f}s below {min_ref_wall}s "
+                   "noise floor, switch gate not applied")
+        return 0
+    ratio = reference / fiber if fiber > 0 else float("inf")
+    verdict = "ok  " if ratio >= SWITCH_SPEEDUP else "FAIL"
+    out.append(f"{verdict} {name}: fiber round trip {fiber:.1f} ns, "
+               f"{ratio:.2f}x faster than swapcontext ({reference:.1f} ns), "
+               f"floor {SWITCH_SPEEDUP:.2f}x")
+    return 0 if verdict == "ok  " else 1
+
+
 def check_adaptive_walls(name, rows, min_throughput, min_ref_wall, out):
     """Adaptive rows vs the best fixed row of their comparison group."""
     flagged = [r for r in rows
@@ -331,7 +377,7 @@ def check_adaptive_walls(name, rows, min_throughput, min_ref_wall, out):
                  and bool(r.get("lookahead_advances", 0)) == adaptive_free]
         label = name if key == (None, None) else f"{name} group {key}"
         if not fixed:
-            out.append(f"skip {label}: no fixed rows in the adaptive rows' "
+            out.append(f"n/a  {label}: no fixed rows in the adaptive rows' "
                        "execution mode (fixed rows free-run ahead of the "
                        "horizon, adaptive rows are barrier-bound), adaptive "
                        "gate not applied")
@@ -368,6 +414,26 @@ def check_adaptive_walls(name, rows, min_throughput, min_ref_wall, out):
                        f"{min_ref_wall}s noise floor, adaptive gate not "
                        "applied")
     return failures
+
+
+# The wall gates, in report order. Each one must be evaluated by at least
+# one of the given files, and skipped by none.
+GATES = {
+    "worker": lambda name, rows, args, out: check_worker_walls(
+        name, rows, args.wall_tolerance, args.min_ref_wall, out),
+    "speedup": lambda name, rows, args, out: check_speedup(
+        name, rows, args.min_speedup, args.min_ref_wall, args.cores, out),
+    "chunked": lambda name, rows, args, out: check_chunked_speedup(
+        name, rows, args.chunked_speedup, args.min_ref_wall, out),
+    "fleet": lambda name, rows, args, out: check_fleet_throughput(
+        name, rows, args.fleet_throughput, args.min_ref_wall, out),
+    "scale": lambda name, rows, args, out: check_scale_alloc(
+        name, rows, args.scale_speedup, args.min_ref_wall, out),
+    "switch": lambda name, rows, args, out: check_switch_speedup(
+        name, rows, args.min_ref_wall, out),
+    "adaptive": lambda name, rows, args, out: check_adaptive_walls(
+        name, rows, args.adaptive_throughput, args.min_ref_wall, out),
+}
 
 
 def main():
@@ -409,6 +475,7 @@ def main():
 
     out = []
     failures = 0
+    outcomes = {}  # gate name -> verdict prefixes it produced
     for path in args.files:
         name = os.path.basename(path)
         rows = load_rows(path)
@@ -420,18 +487,17 @@ def main():
             out.append(f"FAIL {name}: no baseline at {baseline_path} "
                        "(new bench? commit its baseline)")
             failures += 1
-        failures += check_worker_walls(name, rows, args.wall_tolerance,
-                                       args.min_ref_wall, out)
-        failures += check_speedup(name, rows, args.min_speedup,
-                                  args.min_ref_wall, args.cores, out)
-        failures += check_chunked_speedup(name, rows, args.chunked_speedup,
-                                          args.min_ref_wall, out)
-        failures += check_fleet_throughput(name, rows, args.fleet_throughput,
-                                           args.min_ref_wall, out)
-        failures += check_scale_alloc(name, rows, args.scale_speedup,
-                                      args.min_ref_wall, out)
-        failures += check_adaptive_walls(name, rows, args.adaptive_throughput,
-                                         args.min_ref_wall, out)
+        for gate, check in GATES.items():
+            first = len(out)
+            failures += check(name, rows, args, out)
+            # Each verdict line starts with "ok  ", "FAIL", "skip" or "n/a ".
+            outcomes.setdefault(gate, set()).update(
+                line[:4] for line in out[first:])
+
+    for gate, seen in outcomes.items():
+        if "skip" in seen or not seen & {"ok  ", "FAIL"}:
+            out.append(f"FAIL gate '{gate}' was skipped or never evaluated")
+            failures += 1
 
     report = "\n".join(out) + "\n"
     sys.stdout.write(report)
