@@ -26,14 +26,12 @@ Kernel& current_kernel_checked() {
 /// Zeroes a worker-local counter delta in place (keeping the domains
 /// vector allocated for reuse across phases).
 void clear_stat_delta(KernelStats& stats) {
-  const std::size_t domain_count = stats.domains.size();
-  std::vector<DomainStats> domains = std::move(stats.domains);
-  stats = KernelStats{};
-  for (DomainStats& d : domains) {
-    d = DomainStats{};
+  const auto zero = [](std::uint64_t& a, const std::uint64_t&) { a = 0; };
+  KernelStats::for_each_counter(stats, stats, zero);
+  stats.sync_aggregates_stale = 0;
+  for (DomainStats& d : stats.domains) {
+    DomainStats::for_each_counter(d, d, zero);
   }
-  domains.resize(domain_count);
-  stats.domains = std::move(domains);
 }
 
 /// "No date" sentinel for the lookahead bound arithmetic (compares larger
@@ -53,6 +51,11 @@ std::uint64_t sat_add_ps(std::uint64_t a, std::uint64_t b) {
 /// queued them -- and identifies the entry as locally-born at the merge.
 constexpr std::uint64_t kLocalSeqBase = std::uint64_t(1) << 63;
 
+/// The deterministic "group order" of a phase's tasks.
+constexpr auto by_group = [](const auto* a, const auto* b) {
+  return a->group < b->group;
+};
+
 /// All delta-livelock raises funnel through here so they reach the report
 /// sink AND carry the DeltaLivelockError type the failure classifier keys
 /// on (FailureKind::DeltaLivelock) -- Report::error would throw the
@@ -69,6 +72,7 @@ Kernel::Kernel(const KernelConfig& config) {
   // The default domain always exists, so single-domain code never has to
   // know domains do.
   domains_.emplace_back(new SyncDomain(*this, "default", 0, Time{}));
+  main_scope_.domains.push_back(domains_.back().get());
   stats_.domains.emplace_back();
   stats_.domains.back().name = "default";
   group_parent_.emplace_back(0);
@@ -103,7 +107,7 @@ Kernel::Kernel(const KernelConfig& config) {
   scheduler_client_ = Scheduler::instance().register_client(workers_);
   // Seeds a default adaptive quantum policy on every domain (the default
   // one included); an explicit policy (DomainOptions::policy,
-  // set_quantum_policy) overrides.
+  // Kernel::set_quantum_policy) overrides.
   env_adaptive_ = *config_.adaptive_quantum;
   if (env_adaptive_) {
     set_quantum_policy(sync_domain(), QuantumPolicy{});
@@ -162,8 +166,29 @@ void Kernel::note_timed_event_stale() {
 // --------------------------------------------------------------------------
 
 SyncDomain& Kernel::create_domain(const DomainOptions& options) {
-  SyncDomain& domain =
-      create_domain_impl(options.name, options.quantum, options.concurrent);
+  if (active_task() != nullptr) {
+    Report::error("Kernel::create_domain: cannot create domain '" +
+                  options.name + "' from inside a parallel evaluation round");
+  }
+  if (find_domain(options.name) != nullptr) {
+    Report::error("Kernel::create_domain: domain '" + options.name +
+                  "' already exists");
+  }
+  note_external_elaboration();
+  const std::size_t id = domains_.size();
+  domains_.emplace_back(
+      new SyncDomain(*this, options.name, id, options.quantum));
+  SyncDomain& domain = *domains_.back();
+  domain.concurrent_ = options.concurrent;
+  main_scope_.domains.push_back(&domain);
+  stats_.domains.emplace_back();
+  stats_.domains.back().name = options.name;
+  group_parent_.emplace_back(id);
+  published_front_ps_.emplace_back(std::uint64_t{0} - 1);
+  if (!options.concurrent) {
+    std::lock_guard<std::mutex> lock(group_mutex_);
+    unite_groups_locked(id, 0);
+  }
   if (options.policy.has_value()) {
     // An explicit policy bypasses the adaptive_quantum default-policy
     // hook: attaching the default first would clamp `quantum` into *its*
@@ -176,51 +201,6 @@ SyncDomain& Kernel::create_domain(const DomainOptions& options) {
     domain.set_delta_cycle_limit(options.delta_cycle_limit);
   }
   return domain;
-}
-
-SyncDomain& Kernel::create_domain(std::string name, Time quantum,
-                                  bool concurrent) {
-  DomainOptions options;
-  options.name = std::move(name);
-  options.quantum = quantum;
-  options.concurrent = concurrent;
-  return create_domain(options);
-}
-
-SyncDomain& Kernel::create_domain_impl(std::string name, Time quantum,
-                                       bool concurrent) {
-  if (active_task() != nullptr) {
-    Report::error("Kernel::create_domain: cannot create domain '" + name +
-                  "' from inside a parallel evaluation round");
-  }
-  if (find_domain(name) != nullptr) {
-    Report::error("Kernel::create_domain: domain '" + name +
-                  "' already exists");
-  }
-  note_external_elaboration();
-  const std::size_t id = domains_.size();
-  domains_.emplace_back(new SyncDomain(*this, name, id, quantum));
-  domains_.back()->concurrent_ = concurrent;
-  stats_.domains.emplace_back();
-  stats_.domains.back().name = std::move(name);
-  group_parent_.emplace_back(id);
-  published_front_ps_.emplace_back(std::uint64_t{0} - 1);
-  if (!concurrent) {
-    std::lock_guard<std::mutex> lock(group_mutex_);
-    unite_groups_locked(id, 0);
-  }
-  return *domains_.back();
-}
-
-SyncDomain& Kernel::create_domain(std::string name, Time quantum,
-                                  bool concurrent,
-                                  const QuantumPolicy& policy) {
-  DomainOptions options;
-  options.name = std::move(name);
-  options.quantum = quantum;
-  options.concurrent = concurrent;
-  options.policy = policy;
-  return create_domain(options);
 }
 
 void Kernel::set_quantum_policy(SyncDomain& domain,
@@ -290,35 +270,25 @@ void Kernel::unregister_chunk_flush(ChunkFlushListener* listener) {
                            std::memory_order_relaxed);
 }
 
-bool Kernel::flush_chunked_channels() {
-  // Main-loop horizon flush: the workers are quiescent, but a listener's
-  // registration may have raced in from the last round -- take the lock
-  // (uncontended here) rather than reason about it.
-  std::lock_guard<std::mutex> lock(chunk_flush_mutex_);
-  bool any = false;
-  for (ChunkFlushListener* listener : chunk_flush_listeners_) {
-    any = listener->flush_chunks() || any;
-  }
-  return any;
-}
-
-bool Kernel::flush_group_chunks(GroupTask& task) {
-  // Local-wave flush inside a free-running extension: only this group's
-  // channels (both sides of a channel always share one group, so the
-  // flush is serialized with every user of the channel). The lock guards
-  // the *list* against concurrent register/unregister from other groups'
+void Kernel::flush_chunked_channels() {
+  // Inside a free-running extension only this group's channels are
+  // flushed (both sides of a channel always share one group, so the flush
+  // is serialized with every user of the channel). The lock guards the
+  // *list* against concurrent register/unregister from other groups'
   // processes; a foreign listener added mid-walk belongs to a foreign
-  // group and is skipped by the group check either way.
+  // group and is skipped by the group check either way. At run()'s
+  // horizon the workers are quiescent and the lock is uncontended.
+  const GroupTask* task = active_task();
   std::lock_guard<std::mutex> lock(chunk_flush_mutex_);
-  bool any = false;
   for (ChunkFlushListener* listener : chunk_flush_listeners_) {
-    SyncDomain* home = listener->chunk_home_domain();
-    if (home == nullptr || find_group(home->id()) != task.group) {
-      continue;
+    if (task != nullptr) {
+      SyncDomain* home = listener->chunk_home_domain();
+      if (home == nullptr || find_group(home->id()) != task->group) {
+        continue;
+      }
     }
-    any = listener->flush_chunks() || any;
+    listener->flush_chunks();
   }
-  return any;
 }
 
 namespace {
@@ -400,24 +370,6 @@ void Kernel::unite_groups_locked(std::size_t a, std::size_t b) {
   group_version_++;
 }
 
-void Kernel::rebuild_groups_locked() {
-  for (std::size_t i = 0; i < group_parent_.size(); ++i) {
-    group_parent_[i].store(i, std::memory_order_relaxed);
-  }
-  for (const auto& domain : domains_) {
-    if (!domain->concurrent_) {
-      unite_groups_locked(domain->id(), 0);
-    }
-  }
-  for (const DomainLinkRecord& link : domain_links_) {
-    if (link.decoupled) {
-      continue;  // weighted lookahead edges never merge groups
-    }
-    unite_groups_locked(link.a, link.b);
-  }
-  group_version_++;
-}
-
 void Kernel::link_domains(SyncDomain& a, SyncDomain& b, const std::string& via,
                           Time min_latency) {
   if (&a.kernel() != this || &b.kernel() != this) {
@@ -491,7 +443,7 @@ std::vector<std::string> Kernel::explain_group(const SyncDomain& domain) const {
     if (!d->concurrent_ && unite(d->id(), 0)) {
       merges.push_back({d->id(), "'" + d->name() +
                                      "' never opted into concurrency "
-                                     "(SyncDomain::set_concurrent), so it is "
+                                     "(DomainOptions::concurrent), so it is "
                                      "serialized with the default group"});
     }
   }
@@ -537,18 +489,6 @@ std::vector<std::string> Kernel::explain_group(const SyncDomain& domain) const {
 
 std::size_t Kernel::domain_group(const SyncDomain& domain) const {
   return find_group(domain.id());
-}
-
-void Kernel::set_domain_concurrent(SyncDomain& domain, bool concurrent) {
-  if (initialized_) {
-    Report::error("SyncDomain::set_concurrent: domain '" + domain.name() +
-                  "' can only change concurrency during elaboration (the "
-                  "first run() has already initialized processes)");
-  }
-  note_external_elaboration();
-  domain.concurrent_ = concurrent;
-  std::lock_guard<std::mutex> lock(group_mutex_);
-  rebuild_groups_locked();
 }
 
 void Kernel::set_workers(std::size_t n) {
@@ -826,11 +766,7 @@ void Kernel::make_runnable(Process* p) {
   if (p->state_ == ProcessState::Waiting) {
     p->state_ = ProcessState::Ready;
   }
-  if (task != nullptr) {
-    task->queue.push_back(p);
-  } else {
-    runnable_.push_back(p);
-  }
+  (task != nullptr ? *task : main_scope_).runnable.push_back(p);
 }
 
 void Kernel::bump_wake_generation(Process& p) {
@@ -863,11 +799,7 @@ void Kernel::trigger_event(Event& e) {
 }
 
 void Kernel::queue_delta_notification(Event& e) {
-  if (GroupTask* task = active_task()) {
-    task->delta_notifications.emplace_back(&e, e.generation_);
-  } else {
-    delta_notifications_.emplace_back(&e, e.generation_);
-  }
+  active_scope().delta_notifications.emplace_back(&e, e.generation_);
 }
 
 void Kernel::timed_push(const TimedEntry& entry) {
@@ -1053,39 +985,187 @@ void Kernel::reserve_scheduler_arena() {
   const auto reserved_bytes = [this] {
     return static_cast<std::uint64_t>(timed_queue_.capacity()) *
                sizeof(TimedEntry) +
-           static_cast<std::uint64_t>(delta_notifications_.capacity()) *
-               sizeof(delta_notifications_[0]) +
-           static_cast<std::uint64_t>(delta_resume_.capacity()) *
+           static_cast<std::uint64_t>(
+               main_scope_.delta_notifications.capacity()) *
+               sizeof(main_scope_.delta_notifications[0]) +
+           static_cast<std::uint64_t>(main_scope_.delta_resume.capacity()) *
                sizeof(Process*);
   };
   const std::uint64_t before = reserved_bytes();
   timed_queue_.reserve(n);
-  delta_notifications_.reserve(n);
-  delta_resume_.reserve(n);
+  main_scope_.delta_notifications.reserve(n);
+  main_scope_.delta_resume.reserve(n);
   const std::uint64_t after = reserved_bytes();
   stats_.arena_reserved_bytes += after - before;
 }
 
-void Kernel::run_update_phase() {
-  // Updates may request further updates (rare); process until drained.
-  while (!update_requests_.empty()) {
-    std::vector<UpdateListener*> batch = std::move(update_requests_);
-    update_requests_.clear();
-    for (UpdateListener* listener : batch) {
-      listener->update();
+// --------------------------------------------------------------------------
+// The evaluation cascade (see README "Parallel execution")
+//
+// One evaluate -> update -> chunk-flush -> delta iteration, written once
+// and run on a CascadeScope. run() iterates it over the kernel's own
+// containers (its evaluation phase may be a parallel round, below); a
+// free-running lookahead extension iterates it over its GroupTask's
+// buffers after each local timed wave. Delta iterations are counted here
+// and nowhere else, and both paths check the kernel-wide and per-domain
+// delta-cycle limits at the same points: after every delta iteration
+// (here) and after every timed wave's firings.
+// --------------------------------------------------------------------------
+
+Kernel::CascadeScope& Kernel::active_scope() {
+  GroupTask* task = active_task();
+  return task != nullptr ? *task : main_scope_;
+}
+
+// The cascade's two hot routines are forced inline into their callers
+// (run(), free_run_group(), execute_group_task()): as out-of-line calls
+// they cost the workers=0 fifo_narrow benchmark about 10% of its
+// throughput on a 4-core x86-64 VM.
+__attribute__((always_inline)) inline void Kernel::drain_runnable(
+    CascadeScope& scope) {
+  while (!scope.runnable.empty()) {
+    Process* p = scope.runnable.front();
+    scope.runnable.pop_front();
+    p->in_runnable_ = false;
+    p->domain_->runnable_count_--;
+    if (p->state_ == ProcessState::Terminated) {
+      continue;
+    }
+    dispatch(p);
+    if (scope.stop) {
+      break;  // stop semantics; scoped to the group inside a round
     }
   }
 }
 
-void Kernel::fire_delta_notifications() {
-  std::vector<std::pair<Event*, std::uint64_t>> batch =
-      std::move(delta_notifications_);
-  delta_notifications_.clear();
-  for (auto& [event, generation] : batch) {
+__attribute__((always_inline)) inline bool Kernel::run_cascade_iteration(
+    CascadeScope& scope, bool parallel_round) {
+  // Evaluation phase.
+  if (parallel_round) {
+    run_parallel_evaluation_phase();
+  } else {
+    drain_runnable(scope);
+  }
+  if (scope.stop) {
+    return false;
+  }
+  // Update phase. Updates may request further updates (rare); process
+  // until drained.
+  while (!scope.update_requests.empty()) {
+    for (UpdateListener* listener :
+         std::exchange(scope.update_requests, {})) {
+      listener->update();
+    }
+  }
+  // Chunked-channel flush, folded into every iteration: a group's
+  // flush-induced notifications enter the iteration right after its chunks
+  // became pending -- a depth set by the group's own delta chain, so a
+  // free-running extension's cascade lines up with the sequential
+  // schedule index-for-index and the prepaid elementwise-max merge stays
+  // exact. It also keeps the chunked-mode invariant: nothing unpublished
+  // survives a drained cascade, so time never advances past a dirty chunk.
+  if (chunk_flush_count_.load(std::memory_order_relaxed) != 0) {
+    flush_chunked_channels();
+  }
+  if (scope.delta_notifications.empty() && scope.delta_resume.empty()) {
+    return false;
+  }
+  // Delta-notification phase.
+  const std::uint64_t deltas = ++scope.wave_deltas;
+  if (&scope != &main_scope_) {
+    // An extension's deltas are booked at its merge (prepaid ledger).
+    static_cast<GroupTask&>(scope).wave_log.back().second = deltas;
+  } else if (deltas > prepaid_deltas_) {
+    // Iterations an extension already paid for are not counted twice.
+    stats_.delta_cycles++;
+  }
+  check_delta_limit(scope);
+  for (Process* p : std::exchange(scope.delta_resume, {})) {
+    if (p->state_ != ProcessState::Terminated) {
+      make_runnable(p);
+    }
+  }
+  for (auto& [event, generation] :
+       std::exchange(scope.delta_notifications, {})) {
     if (event->pending_ == Event::Pending::Delta &&
         event->generation_ == generation) {
       event->pending_ = Event::Pending::None;
       trigger_event(*event);
+    }
+  }
+  check_domain_delta_limits(scope);
+  return true;
+}
+
+void Kernel::begin_wave(CascadeScope& scope) {
+  scope.wave_deltas = 0;
+  if (domain_delta_limits_enabled_) {
+    for (SyncDomain* domain : scope.domains) {
+      domain->deltas_at_current_date_ = 0;
+    }
+  }
+}
+
+void Kernel::fire_timed_entry(const TimedEntry& entry) {
+  if (entry.kind == TimedEntry::Kind::EventFire) {
+    entry.event->queued_timed_entries_--;
+  }
+  if (is_stale(entry)) {
+    // Retire the stale note the cancel or supersede booked: inside an
+    // extension it sits in the task's buffered notes.
+    GroupTask* task = active_task();
+    std::size_t& stale =
+        task != nullptr ? task->stale_notes : timed_stale_count_;
+    if (stale > 0) {
+      stale--;
+    }
+    return;
+  }
+  if (entry.kind == TimedEntry::Kind::EventFire) {
+    entry.event->pending_ = Event::Pending::None;
+    trigger_event(*entry.event);
+    return;
+  }
+  cancel_dynamic_wait(*entry.process);
+  entry.process->woke_by_event_ = false;
+  // The live entry is the one being consumed right now, so the generation
+  // bump must not count it stale.
+  entry.process->has_live_resume_entry_ = false;
+  entry.process->wake_generation_++;
+  make_runnable(entry.process);
+}
+
+void Kernel::check_delta_limit(const CascadeScope& scope) {
+  if (delta_limit_ == 0 || scope.wave_deltas <= delta_limit_) {
+    return;
+  }
+  const SyncDomain* lagging = lagging_domain();
+  raise_delta_livelock(
+      "delta-cycle limit (" + std::to_string(delta_limit_) +
+      ") exceeded at date " + now().to_string() +
+      (lagging != nullptr ? " (lagging domain: '" + lagging->name() + "')"
+                          : std::string()) +
+      "; livelocked model?");
+}
+
+void Kernel::check_domain_delta_limits(const CascadeScope& scope) {
+  if (!domain_delta_limits_enabled_) {
+    return;  // keep the no-limit default free on the scheduler hot path
+  }
+  for (SyncDomain* domain : scope.domains) {
+    if (domain->runnable_count_ == 0) {
+      // Only *consecutive* delta activity counts toward the limit.
+      domain->deltas_at_current_date_ = 0;
+      continue;
+    }
+    domain->deltas_at_current_date_++;
+    if (domain->delta_limit_ != 0 &&
+        domain->deltas_at_current_date_ > domain->delta_limit_) {
+      raise_delta_livelock("domain '" + domain->name() + "' exceeded its "
+                           "delta-cycle limit (" +
+                           std::to_string(domain->delta_limit_) +
+                           ") at date " + now().to_string() +
+                           "; livelocked subsystem?");
     }
   }
 }
@@ -1093,17 +1173,19 @@ void Kernel::fire_delta_notifications() {
 // --------------------------------------------------------------------------
 // Parallel evaluation (see README "Parallel execution")
 //
-// The evaluation phase partitions the runnable set by concurrency group
-// (preserving kernel schedule order within each group) and dispatches every
-// runnable group onto a worker. A group's processes run strictly in order
-// under one worker, so each group's execution is exactly its slice of the
-// sequential schedule; groups share no mutable state (that is what the
-// grouping means), so the interleaving between workers cannot be observed.
-// All side effects on kernel-global structures -- timed notifications,
-// delta notifications, update requests, counters -- are buffered per group
-// and merged in group order at the synchronization horizon, which makes
-// dates, delta counts and per-cause sync counts bit-identical to the
-// sequential scheduler by construction.
+// The evaluation phase of run()'s cascade partitions the runnable set by
+// concurrency group (preserving kernel schedule order within each group)
+// and dispatches every runnable group onto a worker, which drains the
+// group's queue with drain_runnable(). A group's processes run strictly in
+// order under one worker, so each group's execution is exactly its slice
+// of the sequential schedule; groups share no mutable state (that is what
+// the grouping means), so the interleaving between workers cannot be
+// observed. All side effects on kernel-global structures -- timed
+// notifications, delta notifications, update requests, counters -- are
+// buffered in the group's scope and merged in group order at the
+// synchronization horizon, where the rest of the cascade iteration runs on
+// the kernel's scope; dates, delta counts and per-cause sync counts are
+// therefore bit-identical to the sequential scheduler by construction.
 // --------------------------------------------------------------------------
 
 Kernel::GroupTask& Kernel::task_for_group(std::size_t group_root) {
@@ -1133,18 +1215,10 @@ void Kernel::execute_group_task(GroupTask& task) {
   GroupTask* previous_task = std::exchange(t_task_, &task);
   task.exec.tsan_fiber = fiber::tsan_current_fiber();
   try {
-    while (!task.queue.empty()) {
-      Process* p = task.queue.front();
-      task.queue.pop_front();
-      p->in_runnable_ = false;
-      p->domain_->runnable_count_--;
-      if (p->state_ == ProcessState::Terminated) {
-        continue;
-      }
-      dispatch(p);
-      if (task.stop) {
-        break;  // sequential stop semantics, scoped to this group
-      }
+    if (task.free_running) {
+      free_run_group(task);
+    } else {
+      drain_runnable(task);
     }
   } catch (...) {
     task.exception = std::current_exception();
@@ -1154,7 +1228,7 @@ void Kernel::execute_group_task(GroupTask& task) {
   g_current_kernel = previous_kernel;
 }
 
-void Kernel::apply_cross_wake(Process* p) {
+void Kernel::apply_cross_wake(Process* p, std::deque<Process*>& queue) {
   // Horizon-time version of make_runnable: called between rounds, so the
   // target group's worker is quiescent and its queue is safe to extend.
   if (p->in_runnable_ || p->state_ == ProcessState::Terminated) {
@@ -1165,38 +1239,30 @@ void Kernel::apply_cross_wake(Process* p) {
   if (p->state_ == ProcessState::Waiting) {
     p->state_ = ProcessState::Ready;
   }
-  task_for_group(find_group(p->domain_->id())).queue.push_back(p);
+  queue.push_back(p);
 }
 
 void Kernel::flush_group_task(GroupTask& task) {
   // Leftover runnables (stop or error mid-round) return to the kernel
   // queue so a later run() resumes them, like the sequential scheduler.
-  for (Process* p : task.queue) {
-    runnable_.push_back(p);
-  }
-  task.queue.clear();
+  CascadeScope& into = main_scope_;
+  into.runnable.insert(into.runnable.end(), task.runnable.begin(),
+                       task.runnable.end());
+  task.runnable.clear();
   for (Process* p : task.cross_wakes) {
-    if (!p->in_runnable_ && p->state_ != ProcessState::Terminated) {
-      p->in_runnable_ = true;
-      p->domain_->runnable_count_++;
-      if (p->state_ == ProcessState::Waiting) {
-        p->state_ = ProcessState::Ready;
-      }
-      runnable_.push_back(p);
-    }
+    apply_cross_wake(p, into.runnable);
   }
   task.cross_wakes.clear();
-  for (Process* p : task.delta_resume) {
-    delta_resume_.push_back(p);
-  }
+  into.delta_resume.insert(into.delta_resume.end(), task.delta_resume.begin(),
+                           task.delta_resume.end());
   task.delta_resume.clear();
-  for (const auto& notification : task.delta_notifications) {
-    delta_notifications_.push_back(notification);
-  }
+  into.delta_notifications.insert(into.delta_notifications.end(),
+                                  task.delta_notifications.begin(),
+                                  task.delta_notifications.end());
   task.delta_notifications.clear();
-  for (UpdateListener* listener : task.update_requests) {
-    update_requests_.push_back(listener);
-  }
+  into.update_requests.insert(into.update_requests.end(),
+                              task.update_requests.begin(),
+                              task.update_requests.end());
   task.update_requests.clear();
   for (const GroupTask::TimedReq& req : task.timed) {
     TimedEntry entry;
@@ -1221,21 +1287,17 @@ void Kernel::run_parallel_evaluation_phase() {
   phase_tasks_.clear();
   tasks_in_use_ = 0;
   task_by_root_.assign(domains_.size(), nullptr);
-  while (!runnable_.empty()) {
-    Process* p = runnable_.front();
-    runnable_.pop_front();
-    task_for_group(find_group(p->domain_->id())).queue.push_back(p);
+  for (Process* p : main_scope_.runnable) {
+    task_for_group(find_group(p->domain_->id())).runnable.push_back(p);
   }
-  const auto by_group = [](const GroupTask* a, const GroupTask* b) {
-    return a->group < b->group;
-  };
+  main_scope_.runnable.clear();
   std::exception_ptr first_exception;
   std::vector<GroupTask*> active;
   for (;;) {
     std::sort(phase_tasks_.begin(), phase_tasks_.end(), by_group);
     active.clear();
     for (GroupTask* task : phase_tasks_) {
-      if (!task->queue.empty()) {
+      if (!task->runnable.empty()) {
         active.push_back(task);
       }
     }
@@ -1267,27 +1329,14 @@ void Kernel::run_parallel_evaluation_phase() {
     }
     // Horizon: surface errors and stops, then route cross-group wakes --
     // all in group order, so the next round's queues are deterministic.
+    surface_horizon(active, first_exception);
     for (GroupTask* task : active) {
-      if (task->exception != nullptr && first_exception == nullptr) {
-        first_exception = task->exception;
-        failing_process_ = std::move(task->failed_process);
-        failing_domain_ = std::move(task->failed_domain);
-      }
-      task->exception = nullptr;
-      task->failed_process.clear();
-      task->failed_domain.clear();
-      if (task->stop) {
-        stop_requested_ = true;
+      for (Process* p : std::exchange(task->cross_wakes, {})) {
+        apply_cross_wake(
+            p, task_for_group(find_group(p->domain_->id())).runnable);
       }
     }
-    for (GroupTask* task : active) {
-      std::vector<Process*> wakes = std::move(task->cross_wakes);
-      task->cross_wakes.clear();
-      for (Process* p : wakes) {
-        apply_cross_wake(p);
-      }
-    }
-    if (first_exception != nullptr || stop_requested_) {
+    if (first_exception != nullptr || main_scope_.stop) {
       break;
     }
     if (group_version_ != groups_before) {
@@ -1297,13 +1346,12 @@ void Kernel::run_parallel_evaluation_phase() {
       std::sort(phase_tasks_.begin(), phase_tasks_.end(), by_group);
       std::deque<Process*> pending;
       for (GroupTask* task : phase_tasks_) {
-        for (Process* p : task->queue) {
-          pending.push_back(p);
-        }
-        task->queue.clear();
+        pending.insert(pending.end(), task->runnable.begin(),
+                       task->runnable.end());
+        task->runnable.clear();
       }
       for (Process* p : pending) {
-        task_for_group(find_group(p->domain_->id())).queue.push_back(p);
+        task_for_group(find_group(p->domain_->id())).runnable.push_back(p);
       }
     }
   }
@@ -1316,6 +1364,23 @@ void Kernel::run_parallel_evaluation_phase() {
   publish_domain_fronts();
   if (first_exception != nullptr) {
     std::rethrow_exception(first_exception);
+  }
+}
+
+void Kernel::surface_horizon(const std::vector<GroupTask*>& tasks,
+                             std::exception_ptr& first) {
+  for (GroupTask* task : tasks) {
+    if (task->exception != nullptr && first == nullptr) {
+      first = task->exception;
+      failing_process_ = std::move(task->failed_process);
+      failing_domain_ = std::move(task->failed_domain);
+    }
+    task->exception = nullptr;
+    task->failed_process.clear();
+    task->failed_domain.clear();
+    if (task->stop) {
+      main_scope_.stop = true;
+    }
   }
 }
 
@@ -1332,11 +1397,12 @@ void Kernel::run_parallel_evaluation_phase() {
 //
 // where N(g) is g's earliest live timed entry, and lets each group whose
 // entries all fall strictly below its inbound bound execute whole timed
-// waves -- dispatch, update, delta cascades, and locally-born follow-up
-// waves -- privately on its worker, without a barrier per wave. Everything
-// the barrier scheduler buffers per round is still buffered per task, and
-// the merge reconstructs the wave/delta accounting (the prepaid ledger in
-// run()), so parallel runs stay bit-identical to the sequential schedule.
+// waves -- each one fire_timed_entry() pass plus the same evaluation
+// cascade run() uses, then locally-born follow-up waves -- privately on
+// its worker, without a barrier per wave. Everything the barrier scheduler
+// buffers per round is still buffered per task, and the merge books the
+// logged waves and deltas into the prepaid ledger run() consumes, so
+// parallel runs stay bit-identical to the sequential schedule.
 // Zero-latency links never produce decoupled records (link_domains merges
 // instead), so zero-lookahead cycles degrade to the barrier path.
 // --------------------------------------------------------------------------
@@ -1529,18 +1595,9 @@ bool Kernel::run_lookahead_extension(Time until) {
       });
   timed_queue_.erase(live_end, timed_queue_.end());
   timed_reheap();
-  const auto by_group = [](const GroupTask* a, const GroupTask* b) {
-    return a->group < b->group;
-  };
   std::sort(phase_tasks_.begin(), phase_tasks_.end(), by_group);
-  const auto agenda_less = [](const TimedEntry& a, const TimedEntry& b) {
-    if (a.when != b.when) {
-      return a.when < b.when;
-    }
-    return a.seq < b.seq;
-  };
   for (GroupTask* task : phase_tasks_) {
-    std::sort(task->agenda.begin(), task->agenda.end(), agenda_less);
+    std::sort(task->agenda.begin(), task->agenda.end());
     task->agenda_pos = 0;
     task->free_running = true;
     task->local_now = now_;
@@ -1548,10 +1605,10 @@ bool Kernel::run_lookahead_extension(Time until) {
     task->local_seq = 0;
     task->timed_scan_pos = 0;
     task->wave_log.clear();
-    task->member_domains.clear();
+    task->domains.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (find_group(i) == task->group) {
-        task->member_domains.push_back(domains_[i].get());
+        task->domains.push_back(domains_[i].get());
       }
     }
   }
@@ -1566,28 +1623,16 @@ bool Kernel::run_lookahead_extension(Time until) {
         scheduler_client_,
         [](void* t) {
           GroupTask& group_task = *static_cast<GroupTask*>(t);
-          group_task.kernel->free_run_group(group_task);
+          group_task.kernel->execute_group_task(group_task);
         },
         task);
   }
   stats_.steals += scheduler.help_until_done(scheduler_client_);
   free_run_live_ = false;
-  // Horizon: surface errors and stops first (mirroring the round loop),
+  // Horizon: surface errors and stops first (as the round loop does),
   // then merge every group in group order.
   std::exception_ptr first_exception;
-  for (GroupTask* task : phase_tasks_) {
-    if (task->exception != nullptr && first_exception == nullptr) {
-      first_exception = task->exception;
-      failing_process_ = std::move(task->failed_process);
-      failing_domain_ = std::move(task->failed_domain);
-    }
-    task->exception = nullptr;
-    task->failed_process.clear();
-    task->failed_domain.clear();
-    if (task->stop) {
-      stop_requested_ = true;
-    }
-  }
+  surface_horizon(phase_tasks_, first_exception);
   for (GroupTask* task : phase_tasks_) {
     // (a) Prepaid accounting: pay the merged schedule's wave and delta
     // increments for the dates this group ran through. Same-date waves
@@ -1652,7 +1697,7 @@ bool Kernel::run_lookahead_extension(Time until) {
     task->agenda.clear();
     task->agenda_pos = 0;
     task->free_running = false;
-    task->member_domains.clear();
+    task->domains.clear();
     // (c) The regular horizon merge: queues, wakes, timed buffer, stats.
     flush_group_task(*task);
   }
@@ -1665,156 +1710,27 @@ bool Kernel::run_lookahead_extension(Time until) {
 }
 
 void Kernel::free_run_group(GroupTask& task) {
-  Kernel* previous_kernel = std::exchange(g_current_kernel, this);
-  ExecContext* previous_exec = std::exchange(t_exec_, &task.exec);
-  GroupTask* previous_task = std::exchange(t_task_, &task);
-  task.exec.tsan_fiber = fiber::tsan_current_fiber();
-  try {
-    std::size_t waves = 0;
-    while (task.agenda_pos < task.agenda.size() && !task.stop &&
-           waves < lookahead_max_waves_) {
-      const Time date = task.agenda[task.agenda_pos].when;
-      task.local_now = date;
-      if (domain_delta_limits_enabled_) {
-        for (SyncDomain* domain : task.member_domains) {
-          domain->deltas_at_current_date_ = 0;
-        }
-      }
-      task.wave_log.emplace_back(date.ps(), 0);
-      waves++;
-      task.stat_delta.lookahead_advances++;
-      while (task.agenda_pos < task.agenda.size() &&
-             task.agenda[task.agenda_pos].when == date) {
-        fire_agenda_entry(task, task.agenda[task.agenda_pos]);
-        task.agenda_pos++;
-      }
-      run_local_cascade(task);
-      if (task.stop) {
-        break;
-      }
-      absorb_local_timed(task);
+  std::size_t waves = 0;
+  while (task.agenda_pos < task.agenda.size() && !task.stop &&
+         waves < lookahead_max_waves_) {
+    const Time date = task.agenda[task.agenda_pos].when;
+    task.local_now = date;
+    begin_wave(task);
+    task.wave_log.emplace_back(date.ps(), 0);
+    waves++;
+    task.stat_delta.lookahead_advances++;
+    while (task.agenda_pos < task.agenda.size() &&
+           task.agenda[task.agenda_pos].when == date) {
+      fire_timed_entry(task.agenda[task.agenda_pos]);
+      task.agenda_pos++;
     }
-  } catch (...) {
-    task.exception = std::current_exception();
-  }
-  t_task_ = previous_task;
-  t_exec_ = previous_exec;
-  g_current_kernel = previous_kernel;
-}
-
-void Kernel::fire_agenda_entry(GroupTask& task, TimedEntry& entry) {
-  // Mirrors the global timed phase's firing semantics exactly, with the
-  // stale bookkeeping going to the task's buffered notes (that is where
-  // in-extension cancels and supersedes booked theirs).
-  if (entry.kind == TimedEntry::Kind::EventFire) {
-    entry.event->queued_timed_entries_--;
-    if (is_stale(entry)) {
-      if (task.stale_notes > 0) {
-        task.stale_notes--;
-      }
-      return;
+    check_domain_delta_limits(task);
+    while (run_cascade_iteration(task, /*parallel_round=*/false)) {
     }
-    entry.event->pending_ = Event::Pending::None;
-    trigger_event(*entry.event);
-    return;
-  }
-  if (is_stale(entry)) {
-    if (task.stale_notes > 0) {
-      task.stale_notes--;
+    if (task.stop) {
+      break;
     }
-    return;
-  }
-  cancel_dynamic_wait(*entry.process);
-  entry.process->woke_by_event_ = false;
-  // The live entry is the one being consumed right now, so the generation
-  // bump must not count it stale.
-  entry.process->has_live_resume_entry_ = false;
-  entry.process->wake_generation_++;
-  make_runnable(entry.process);
-}
-
-void Kernel::run_local_cascade(GroupTask& task) {
-  // One wave's evaluate -> update -> delta loop, against the task's own
-  // buffers (make_runnable and queue_delta_notification land there because
-  // this thread's t_task_ is the task).
-  for (;;) {
-    while (!task.queue.empty()) {
-      Process* p = task.queue.front();
-      task.queue.pop_front();
-      p->in_runnable_ = false;
-      p->domain_->runnable_count_--;
-      if (p->state_ == ProcessState::Terminated) {
-        continue;
-      }
-      dispatch(p);
-      if (task.stop) {
-        return;
-      }
-    }
-    while (!task.update_requests.empty()) {
-      std::vector<UpdateListener*> batch = std::move(task.update_requests);
-      task.update_requests.clear();
-      for (UpdateListener* listener : batch) {
-        listener->update();
-      }
-    }
-    // Per-iteration chunk flush, group-filtered -- the free-running analog
-    // of the main loop's post-update flush (see Kernel::run): keeps this
-    // group's flush-induced delta iterations at the same chain depth as
-    // the sequential schedule, and never lets the local date outrun one of
-    // the group's own unpublished chunks.
-    if (chunk_flush_count_.load(std::memory_order_relaxed) != 0) {
-      flush_group_chunks(task);
-    }
-    if (task.delta_notifications.empty() && task.delta_resume.empty()) {
-      return;
-    }
-    std::uint32_t& deltas = task.wave_log.back().second;
-    deltas++;
-    if (delta_limit_ != 0 && deltas > delta_limit_) {
-      const SyncDomain* lagging = lagging_domain();
-      raise_delta_livelock(
-          "delta-cycle limit (" + std::to_string(delta_limit_) +
-          ") exceeded at date " + task.local_now.to_string() +
-          (lagging != nullptr
-               ? " (lagging domain: '" + lagging->name() + "')"
-               : std::string()) +
-          "; livelocked model?");
-    }
-    for (Process* p : std::exchange(task.delta_resume, {})) {
-      if (p->state_ != ProcessState::Terminated) {
-        make_runnable(p);
-      }
-    }
-    std::vector<std::pair<Event*, std::uint64_t>> batch =
-        std::move(task.delta_notifications);
-    task.delta_notifications.clear();
-    for (auto& [event, generation] : batch) {
-      if (event->pending_ == Event::Pending::Delta &&
-          event->generation_ == generation) {
-        event->pending_ = Event::Pending::None;
-        trigger_event(*event);
-      }
-    }
-    if (domain_delta_limits_enabled_) {
-      // Member domains only: foreign domains' counters belong to other
-      // workers.
-      for (SyncDomain* domain : task.member_domains) {
-        if (domain->runnable_count_ == 0) {
-          domain->deltas_at_current_date_ = 0;
-          continue;
-        }
-        domain->deltas_at_current_date_++;
-        if (domain->delta_limit_ != 0 &&
-            domain->deltas_at_current_date_ > domain->delta_limit_) {
-          raise_delta_livelock("domain '" + domain->name() + "' exceeded its "
-                               "delta-cycle limit (" +
-                               std::to_string(domain->delta_limit_) +
-                               ") at date " + task.local_now.to_string() +
-                               "; livelocked subsystem?");
-        }
-      }
-    }
+    absorb_local_timed(task);
   }
 }
 
@@ -1860,16 +1776,10 @@ void Kernel::absorb_local_timed(GroupTask& task) {
     entry.event_generation = req.event_generation;
     entry.process = req.process;
     entry.process_generation = req.process_generation;
-    const auto agenda_less = [](const TimedEntry& a, const TimedEntry& b) {
-      if (a.when != b.when) {
-        return a.when < b.when;
-      }
-      return a.seq < b.seq;
-    };
     task.agenda.insert(
         std::upper_bound(task.agenda.begin() +
                              static_cast<std::ptrdiff_t>(task.agenda_pos),
-                         task.agenda.end(), entry, agenda_less),
+                         task.agenda.end(), entry),
         entry);
   }
   reqs.resize(write);
@@ -1904,8 +1814,8 @@ void Kernel::run(const RunOptions& options) {
   Kernel* previous = std::exchange(g_current_kernel, this);
   ExecContext* previous_exec = std::exchange(t_exec_, &main_exec_);
   main_exec_.tsan_fiber = fiber::tsan_current_fiber();
-  stop_requested_ = false;
-  prepaid_skip_deltas_ = 0;
+  main_scope_.stop = false;
+  prepaid_deltas_ = 0;
   health_ = Health::Running;
   failing_process_.clear();
   failing_domain_.clear();
@@ -1927,75 +1837,19 @@ void Kernel::run(const RunOptions& options) {
     publish_domain_fronts();
   }
   try {
-    while (!stop_requested_) {
+    while (!main_scope_.stop) {
       // Wall-clock watchdog, checked once per scheduler iteration -- a
       // synchronization horizon (delta or timed-wave boundary), where
       // every group is quiescent. One branch while disarmed.
       check_watchdog();
-      // Evaluation phase.
-      if (parallel_enabled() && !force_sequential_phase) {
-        run_parallel_evaluation_phase();
-      } else {
-        while (!runnable_.empty()) {
-          Process* p = runnable_.front();
-          runnable_.pop_front();
-          p->in_runnable_ = false;
-          p->domain_->runnable_count_--;
-          if (p->state_ == ProcessState::Terminated) {
-            continue;
-          }
-          dispatch(p);
-          if (stop_requested_) {
-            break;
-          }
-        }
-      }
+      const bool parallel_round =
+          parallel_enabled() && !force_sequential_phase;
       force_sequential_phase = false;
-      if (stop_requested_) {
-        break;
-      }
-      // Update phase.
-      run_update_phase();
-      // Chunked-channel flush, folded into every cascade iteration: a
-      // group's flush-induced notifications enter the iteration right
-      // after its chunks became pending -- a depth determined by the
-      // group's own delta chain, so the lookahead extensions' per-group
-      // cascades (which flush at the same point in run_local_cascade)
-      // line up with the sequential schedule index-for-index and the
-      // prepaid elementwise-max merge stays exact. It also maintains the
-      // chunked-mode invariant: nothing unpublished survives a drained
-      // cascade, so time never advances past a dirty chunk.
-      if (chunk_flush_count_.load(std::memory_order_relaxed) != 0) {
-        flush_chunked_channels();
-      }
-      // Delta-notification phase.
-      if (!delta_notifications_.empty() || !delta_resume_.empty()) {
-        if (prepaid_skip_deltas_ > 0) {
-          // A lookahead extension already counted this iteration at its
-          // merge (prepaid ledger); counting it again would break the
-          // bit-identity with the sequential schedule.
-          prepaid_skip_deltas_--;
-        } else {
-          stats_.delta_cycles++;
-        }
-        if (delta_limit_ != 0 && ++deltas_at_current_date_ > delta_limit_) {
-          const SyncDomain* lagging = lagging_domain();
-          raise_delta_livelock(
-              "delta-cycle limit (" + std::to_string(delta_limit_) +
-              ") exceeded at date " + now_.to_string() +
-              (lagging != nullptr
-                   ? " (lagging domain: '" + lagging->name() + "')"
-                   : std::string()) +
-              "; livelocked model?");
-        }
-        for (Process* p : std::exchange(delta_resume_, {})) {
-          if (p->state_ != ProcessState::Terminated) {
-            make_runnable(p);
-          }
-        }
-        fire_delta_notifications();
-        check_domain_delta_limits();
+      if (run_cascade_iteration(main_scope_, parallel_round)) {
         continue;
+      }
+      if (main_scope_.stop) {
+        break;
       }
       // Quantum-control horizon: every group is quiescent and the books
       // are merged, so adaptive decisions here read the same deterministic
@@ -2003,17 +1857,12 @@ void Kernel::run(const RunOptions& options) {
       if (quantum_controller_ && quantum_controller_->any_active()) {
         quantum_controller_->on_horizon(stats_, now_);
       }
-      // Timed-notification phase. Drop stale entries (cancelled or
+      // Timed-notification phase. Retire stale entries (cancelled or
       // superseded notifications) first so they never advance time.
       while (!timed_queue_.empty() && is_stale(timed_queue_.front())) {
-        const TimedEntry& top = timed_queue_.front();
-        if (top.kind == TimedEntry::Kind::EventFire) {
-          top.event->queued_timed_entries_--;
-        }
+        const TimedEntry top = timed_queue_.front();
         timed_pop();
-        if (timed_stale_count_ > 0) {
-          timed_stale_count_--;
-        }
+        fire_timed_entry(top);
       }
       if (timed_queue_.empty()) {
         if (free_run_end_ > now_) {
@@ -2034,15 +1883,11 @@ void Kernel::run(const RunOptions& options) {
         continue;
       }
       now_ = next;
-      deltas_at_current_date_ = 0;
-      if (domain_delta_limits_enabled_) {
-        for (const auto& domain : domains_) {
-          domain->deltas_at_current_date_ = 0;
-        }
-      }
+      begin_wave(main_scope_);
       // Consume the prepaid ledger: if an extension already executed (and
-      // paid for) this date's next wave, skip the increments it covered.
-      prepaid_skip_deltas_ = 0;
+      // paid for) this date's next wave, count only the wave's delta
+      // iterations beyond the ones it paid for.
+      prepaid_deltas_ = 0;
       bool wave_prepaid = false;
       if (!prepaid_waves_.empty()) {
         prepaid_waves_.erase(prepaid_waves_.begin(),
@@ -2050,7 +1895,7 @@ void Kernel::run(const RunOptions& options) {
         const auto it = prepaid_waves_.find(next.ps());
         if (it != prepaid_waves_.end() &&
             it->second.consumed < it->second.wave_deltas.size()) {
-          prepaid_skip_deltas_ = it->second.wave_deltas[it->second.consumed++];
+          prepaid_deltas_ = it->second.wave_deltas[it->second.consumed++];
           wave_prepaid = true;
         }
       }
@@ -2059,34 +1904,11 @@ void Kernel::run(const RunOptions& options) {
         stats_.delta_cycles++;
       }
       while (!timed_queue_.empty() && timed_queue_.front().when == now_) {
-        TimedEntry entry = timed_queue_.front();
+        const TimedEntry entry = timed_queue_.front();
         timed_pop();
-        if (entry.kind == TimedEntry::Kind::EventFire) {
-          entry.event->queued_timed_entries_--;
-        }
-        if (is_stale(entry)) {
-          if (timed_stale_count_ > 0) {
-            timed_stale_count_--;
-          }
-          continue;
-        }
-        switch (entry.kind) {
-          case TimedEntry::Kind::EventFire:
-            entry.event->pending_ = Event::Pending::None;
-            trigger_event(*entry.event);
-            break;
-          case TimedEntry::Kind::ProcessResume:
-            cancel_dynamic_wait(*entry.process);
-            entry.process->woke_by_event_ = false;
-            // The live entry is the one being consumed right now, so the
-            // generation bump must not count it stale.
-            entry.process->has_live_resume_entry_ = false;
-            entry.process->wake_generation_++;
-            make_runnable(entry.process);
-            break;
-        }
+        fire_timed_entry(entry);
       }
-      check_domain_delta_limits();
+      check_domain_delta_limits(main_scope_);
     }
   } catch (...) {
     stats_.fold_domain_sync_aggregates();
@@ -2118,7 +1940,7 @@ void Kernel::stop() {
     task->stop = true;
     return;
   }
-  stop_requested_ = true;
+  main_scope_.stop = true;
 }
 
 void Kernel::dispatch(Process* p) {
@@ -2271,11 +2093,7 @@ bool Kernel::wait(Event& event, Time timeout) {
 
 void Kernel::wait_delta() {
   Process* p = require_thread("wait_delta()");
-  if (GroupTask* task = active_task()) {
-    task->delta_resume.push_back(p);
-  } else {
-    delta_resume_.push_back(p);
-  }
+  active_scope().delta_resume.push_back(p);
   bump_wake_generation(*p);  // invalidate any stale timers
   p->state_ = ProcessState::Waiting;
   yield_current_thread();
@@ -2298,28 +2116,6 @@ void Kernel::next_trigger(Time delay) {
   p->trigger_override_ = true;
 }
 
-void Kernel::check_domain_delta_limits() {
-  if (!domain_delta_limits_enabled_) {
-    return;  // keep the no-limit default free on the scheduler hot path
-  }
-  for (const auto& domain : domains_) {
-    if (domain->runnable_count_ == 0) {
-      // Only *consecutive* delta activity counts toward the limit.
-      domain->deltas_at_current_date_ = 0;
-      continue;
-    }
-    domain->deltas_at_current_date_++;
-    if (domain->delta_limit_ != 0 &&
-        domain->deltas_at_current_date_ > domain->delta_limit_) {
-      raise_delta_livelock("domain '" + domain->name() + "' exceeded its "
-                           "delta-cycle limit (" +
-                           std::to_string(domain->delta_limit_) +
-                           ") at date " + now_.to_string() +
-                           "; livelocked subsystem?");
-    }
-  }
-}
-
 void Kernel::cancel_dynamic_wait(Process& p) {
   if (p.waiting_event_ != nullptr) {
     auto& waiters = p.waiting_event_->dynamic_waiters_;
@@ -2330,11 +2126,7 @@ void Kernel::cancel_dynamic_wait(Process& p) {
 }
 
 void Kernel::request_update(UpdateListener* listener) {
-  if (GroupTask* task = active_task()) {
-    task->update_requests.push_back(listener);
-  } else {
-    update_requests_.push_back(listener);
-  }
+  active_scope().update_requests.push_back(listener);
 }
 
 void Kernel::kill_all_threads() {

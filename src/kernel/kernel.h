@@ -100,7 +100,7 @@ struct RunOptions {
   /// Wall-clock watchdog budget for this call, in milliseconds; overrides
   /// KernelConfig::wall_limit_ms (0 = explicitly disabled for this call,
   /// nullopt = inherit the config). See kernel_config.h.
-  std::optional<std::uint64_t> wall_limit_ms;
+  std::optional<std::uint64_t> wall_limit_ms{};
 };
 
 /// Options for spawning a method process.
@@ -370,16 +370,6 @@ class Kernel {
   /// Module::set_default_domain).
   SyncDomain& create_domain(const DomainOptions& options);
 
-  /// Positional legacy surface; forwards to the DomainOptions overload.
-  [[deprecated("use create_domain(DomainOptions) -- see the README migration table")]]
-  SyncDomain& create_domain(std::string name, Time quantum = Time{},
-                            bool concurrent = false);
-
-  /// Positional legacy surface; forwards to the DomainOptions overload.
-  [[deprecated("use create_domain(DomainOptions) -- see the README migration table")]]
-  SyncDomain& create_domain(std::string name, Time quantum, bool concurrent,
-                            const QuantumPolicy& policy);
-
   // --- adaptive quantum control (see kernel/quantum_controller.h) ---
 
   /// Opts `domain` into adaptive quantum control: the kernel re-evaluates
@@ -533,6 +523,8 @@ class Kernel {
       if (when != o.when) return when > o.when;
       return seq > o.seq;
     }
+    /// (when, seq) order: the timed heap's and every agenda's.
+    bool operator<(const TimedEntry& o) const { return o > *this; }
   };
 
   /// Per-OS-thread fiber dispatch state: the scheduler-side context plus
@@ -563,24 +555,40 @@ class Kernel {
     void* tsan_fiber = nullptr;
   };
 
+  /// What one evaluation cascade works on (see run_cascade_iteration): the
+  /// runnable queue and the buffers an evaluation fills. The sequential
+  /// loop's scope is the kernel's own (main_scope_); a parallel round or a
+  /// free-running extension works on its GroupTask's.
+  struct CascadeScope {
+    /// Runnable processes, in kernel schedule order.
+    std::deque<Process*> runnable;
+    std::vector<UpdateListener*> update_requests;
+    std::vector<std::pair<Event*, std::uint64_t>> delta_notifications;
+    std::vector<Process*> delta_resume;
+    /// The domains whose per-domain delta-limit books this cascade keeps:
+    /// every domain for the kernel's scope, the group's members for a
+    /// free-running extension (foreign domains' counters belong to other
+    /// workers).
+    std::vector<SyncDomain*> domains;
+    /// Delta iterations since the current timed wave began: what the
+    /// kernel-wide delta-cycle limit counts.
+    std::uint64_t wave_deltas = 0;
+    bool stop = false;
+  };
+
   /// One concurrency group's work and side-effect buffers for the current
   /// parallel evaluation phase. Everything a group's processes do to
-  /// kernel-global structures lands here and is merged -- in group order,
-  /// hence deterministically -- at the next synchronization horizon.
-  struct GroupTask {
+  /// kernel-global structures lands in its CascadeScope and the buffers
+  /// below, and is merged -- in group order, hence deterministically -- at
+  /// the next synchronization horizon.
+  struct GroupTask : CascadeScope {
     Kernel* kernel = nullptr;
     /// Group representative (union-find root domain id) this phase.
     std::size_t group = 0;
-    /// The group's runnable processes, in kernel schedule order. Wakes of
-    /// same-group processes append here and run within the same round.
-    std::deque<Process*> queue;
     ExecContext exec;
     /// Wakes targeting processes of *other* groups (dynamic spawns,
     /// foreign-group event notifies); routed at the horizon.
     std::vector<Process*> cross_wakes;
-    std::vector<std::pair<Event*, std::uint64_t>> delta_notifications;
-    std::vector<Process*> delta_resume;
-    std::vector<UpdateListener*> update_requests;
     struct TimedReq {
       Time when;
       TimedEntry::Kind kind;
@@ -600,7 +608,6 @@ class Kernel {
     KernelStats stat_delta;
     /// Lazily built merged view for mid-round stats() calls.
     std::unique_ptr<KernelStats> stats_view;
-    bool stop = false;
     std::exception_ptr exception;
     /// Failure attribution riding alongside `exception`: the process whose
     /// dispatch raised it and that process's domain (empty when the raise
@@ -634,17 +641,8 @@ class Kernel {
     /// delta iterations after the wave). Source of the merge-time prepaid
     /// accounting that keeps delta_cycles / timed_waves bit-identical to
     /// the sequential schedule.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> wave_log;
-    /// The group's domains, filled per extension: the per-domain
-    /// delta-limit checks inside the extension walk only these (foreign
-    /// domains' counters must not be touched from this worker).
-    std::vector<SyncDomain*> member_domains;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> wave_log;
   };
-
-  /// create_domain minus the TDSIM_ADAPTIVE_QUANTUM default-policy hook
-  /// (the policy-taking overload attaches its own policy instead).
-  SyncDomain& create_domain_impl(std::string name, Time quantum,
-                                 bool concurrent);
 
   /// See SyncContext (sync_domain.h): process + stats sink in one
   /// thread-local read. The synchronization hot path's entry point.
@@ -671,7 +669,6 @@ class Kernel {
   /// live ones (lazy deletion would otherwise grow the queue unboundedly
   /// under cancel/supersede-heavy workloads).
   void maybe_compact_timed_queue();
-  void check_domain_delta_limits();
   void timed_push(const TimedEntry& entry);
   void timed_pop();
   /// Re-heapifies timed_queue_ after an in-place filter.
@@ -694,8 +691,30 @@ class Kernel {
   void queue_delta_notification(Event& e);
   void cancel_dynamic_wait(Process& p);
   void kill_all_threads();
-  void run_update_phase();
-  void fire_delta_notifications();
+
+  // --- the evaluation cascade (see kernel.cpp "The evaluation cascade") ---
+
+  /// Where the calling thread's scheduler side effects go: the active
+  /// GroupTask's scope inside a parallel round, the kernel's otherwise.
+  CascadeScope& active_scope();
+  /// Dispatches `scope`'s runnable processes in order until the queue
+  /// drains or the scope is stopped.
+  void drain_runnable(CascadeScope& scope);
+  /// One evaluate -> update -> chunk-flush -> delta iteration over
+  /// `scope` (the evaluation is a parallel round when `parallel_round`).
+  /// Returns true when a delta iteration ran (the caller loops), false
+  /// when the cascade drained or was stopped.
+  bool run_cascade_iteration(CascadeScope& scope, bool parallel_round);
+  /// Starts a timed wave's delta books: the kernel-wide and the
+  /// per-domain consecutive-delta counters.
+  void begin_wave(CascadeScope& scope);
+  /// Fires (or, when stale, retires) one timed entry of the current wave.
+  void fire_timed_entry(const TimedEntry& entry);
+  /// The kernel-wide delta-cycle limit, checked once per delta iteration.
+  void check_delta_limit(const CascadeScope& scope);
+  /// The per-domain delta-cycle limits over scope.domains, checked after
+  /// every timed wave and every delta iteration.
+  void check_domain_delta_limits(const CascadeScope& scope);
 
   // --- fiber-stack pool + scheduler arena (see kernel/stack_pool.h) ---
 
@@ -742,32 +761,31 @@ class Kernel {
   KernelStats& active_stats();
   bool parallel_enabled() const { return workers_ > 1; }
   void run_parallel_evaluation_phase();
+  /// Runs one group's share of a round -- its runnable queue, or its
+  /// free-running extension -- on the calling thread (worker or stealing
+  /// main thread), capturing any exception into the task.
   void execute_group_task(GroupTask& task);
+  /// Horizon: surfaces the tasks' first exception (in group order, with
+  /// its failure attribution) into `first` and any stop into the kernel.
+  void surface_horizon(const std::vector<GroupTask*>& tasks,
+                       std::exception_ptr& first);
   /// The timed-phase lookahead driver: computes per-group conservative
   /// bounds, extracts eligible groups' timed entries and free-runs them
   /// in parallel to their windows, then merges. Returns true when any
   /// group advanced (the caller re-enters its loop without advancing the
   /// global date).
   bool run_lookahead_extension(Time until);
-  /// One group's free-running extension body (worker or stealing main
-  /// thread): local waves -> dispatch -> update -> delta cascades, over
-  /// the task's private agenda.
+  /// One group's free-running extension body: local timed waves, each
+  /// followed by its cascade, over the task's private agenda.
   void free_run_group(GroupTask& task);
-  void fire_agenda_entry(GroupTask& task, TimedEntry& entry);
-  void run_local_cascade(GroupTask& task);
   /// Moves newly buffered timed requests that fall inside the task's
   /// window from task.timed into the sorted agenda.
   void absorb_local_timed(GroupTask& task);
-  /// Publishes every registered chunked channel's pending chunks; run()
-  /// calls it once per delta-cascade iteration, after the update phase
-  /// (see ChunkFlushListener). Returns true when anything was published.
-  bool flush_chunked_channels();
-  /// Per-group analog, called at the same per-iteration point of a
-  /// free-running extension's local cascade: flushes only channels of
-  /// `task`'s concurrency group (a foreign group's channel state belongs
-  /// to another worker), keeping each group's flush-induced deltas at the
-  /// chain depth the sequential schedule gives them.
-  bool flush_group_chunks(GroupTask& task);
+  /// Publishes the pending chunks of every registered chunked channel --
+  /// only the active group's inside a free-running extension (a foreign
+  /// group's channel state belongs to another worker). Called once per
+  /// cascade iteration, after the update phase (see ChunkFlushListener).
+  void flush_chunked_channels();
   /// Slow path of now() while an extension is in flight.
   Time resolve_now() const;
   /// The one concurrency group all of `e`'s waiters belong to, or nullopt
@@ -781,8 +799,9 @@ class Kernel {
   /// none/unbounded.
   void compute_lookahead_state(std::vector<std::uint64_t>& earliest,
                                std::vector<std::uint64_t>& window) const;
-  /// Horizon-time make_runnable for wakes that crossed groups mid-round.
-  void apply_cross_wake(Process* p);
+  /// Horizon-time make_runnable for wakes that crossed groups mid-round:
+  /// marks `p` runnable and appends it to `queue`.
+  void apply_cross_wake(Process* p, std::deque<Process*>& queue);
   /// Merges one group's buffered side effects into the kernel structures;
   /// called at the horizon in group order.
   void flush_group_task(GroupTask& task);
@@ -796,11 +815,7 @@ class Kernel {
   bool foreign_group_read(const SyncDomain& domain) const;
   std::optional<Time> published_front(std::size_t domain_id) const;
   void publish_domain_fronts();
-  /// Backs SyncDomain::set_concurrent; rebuilds the union-find from the
-  /// concurrency flags and the recorded links.
-  void set_domain_concurrent(SyncDomain& domain, bool concurrent);
   void unite_groups_locked(std::size_t a, std::size_t b);
-  void rebuild_groups_locked();
 
   Time now_;
   /// Domain registry; [0] is the default domain, created in the
@@ -808,7 +823,6 @@ class Kernel {
   /// create_domain() calls (processes and channels hold raw pointers).
   std::vector<std::unique_ptr<SyncDomain>> domains_;
   std::uint64_t delta_limit_ = 0;
-  std::uint64_t deltas_at_current_date_ = 0;
   KernelStats stats_;
   std::uint64_t next_process_id_ = 1;
   std::uint64_t next_timed_seq_ = 0;
@@ -823,7 +837,6 @@ class Kernel {
   /// the next run()'s first evaluation phase must stay sequential, exactly
   /// like the initialization wave.
   bool graft_init_pending_ = false;
-  bool stop_requested_ = false;
   /// True once any domain ever armed a per-domain delta-cycle limit; the
   /// scheduler skips the per-domain delta bookkeeping while false.
   bool domain_delta_limits_enabled_ = false;
@@ -860,10 +873,9 @@ class Kernel {
   std::atomic<std::size_t> faults_pending_{0};
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::deque<Process*> runnable_;
-  std::vector<std::pair<Event*, std::uint64_t>> delta_notifications_;
-  std::vector<Process*> delta_resume_;
-  std::vector<UpdateListener*> update_requests_;
+  /// The sequential loop's cascade scope; main_scope_.stop is the
+  /// kernel-wide stop request.
+  CascadeScope main_scope_;
   /// The timed notification queue: a (when, seq) min-heap maintained with
   /// std::push_heap/pop_heap over a plain vector, so the stale-entry
   /// compaction and the ~Event purge can filter the storage in place and
@@ -923,8 +935,8 @@ class Kernel {
     Time min_latency{};
     bool decoupled = false;
   };
-  /// Every link ever declared (channel-observed or explicit), replayed
-  /// when set_concurrent rebuilds the union-find.
+  /// Every link ever declared (channel-observed or explicit), in
+  /// declaration order.
   std::vector<DomainLinkRecord> domain_links_;
   mutable std::mutex group_mutex_;
   /// Guards processes_ / next_process_id_ against concurrent dynamic
@@ -956,13 +968,14 @@ class Kernel {
   /// timed phase consumes it -- skipping the increments the extension
   /// prepaid -- so totals stay bit-identical to the sequential schedule.
   struct PrepaidDate {
-    std::vector<std::uint32_t> wave_deltas;
+    std::vector<std::uint64_t> wave_deltas;
     std::size_t consumed = 0;
   };
   std::map<std::uint64_t, PrepaidDate> prepaid_waves_;
-  /// Delta-cycle increments of the current global wave still covered by
-  /// the prepaid ledger.
-  std::uint32_t prepaid_skip_deltas_ = 0;
+  /// Delta iterations of the current global wave the prepaid ledger
+  /// already covers: the cascade counts only main_scope_.wave_deltas
+  /// beyond it.
+  std::uint64_t prepaid_deltas_ = 0;
   /// Furthest date any lookahead extension has executed; when the timed
   /// queue drains, now_ advances here so the final date matches the
   /// sequential schedule's last wave.

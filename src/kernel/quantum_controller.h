@@ -5,7 +5,7 @@
 // size: a large quantum amortizes synchronization cost, a small one
 // preserves timing fidelity, and the right value differs per subsystem and
 // per phase of the workload. A SyncDomain that opts into a QuantumPolicy
-// (Kernel::set_quantum_policy, or create_domain(..., policy)) has its
+// (DomainOptions::policy, or Kernel::set_quantum_policy) has its
 // quantum re-evaluated by the kernel-owned QuantumController at every
 // synchronization horizon -- the timed-wave boundary where all concurrency
 // groups are quiescent and the per-group counter buffers have been merged.

@@ -79,7 +79,7 @@ struct ForkOptions {
   /// via Kernel::build(), so the fork stays snapshot-capable. This is
   /// where simulated behavior changes: retune quanta, spawn extra
   /// traffic, reconfigure links.
-  std::function<void(Kernel&)> diverge;
+  std::function<void(Kernel&)> diverge{};
 };
 
 }  // namespace tdsim

@@ -71,7 +71,7 @@ struct SocConfig {
   /// (requires split_domains), so each subsystem's quantum is tuned from
   /// its own sync-cause profile instead of hand-picked. `quantum` seeds
   /// the starting point, clamped into the policy's range.
-  std::optional<QuantumPolicy> adaptive;
+  std::optional<QuantumPolicy> adaptive{};
 };
 
 class SocPlatform : public Module {

@@ -366,5 +366,31 @@ TEST(Kernel, NestedRunIsAnError) {
   EXPECT_THROW(k.run(), SimulationError);
 }
 
+TEST(KernelStats, ForEachCounterDrivesEveryMerge) {
+  // One enumeration feeds operator-, accumulate() and the parallel
+  // scheduler's reset; the sizeof tripwire in stats.h counts on it
+  // visiting exactly kCounterCount counters.
+  KernelStats a;
+  std::uint64_t next = 1;
+  std::size_t visited = 0;
+  KernelStats::for_each_counter(
+      a, a, [&](std::uint64_t& counter, const std::uint64_t&) {
+        counter = next++;
+        visited++;
+      });
+  EXPECT_EQ(visited, KernelStats::kCounterCount);
+  KernelStats twice;
+  accumulate(twice, a);
+  accumulate(twice, a);
+  const KernelStats diff = twice - a;
+  KernelStats::for_each_counter(
+      diff, a, [](const std::uint64_t& d, const std::uint64_t& expected) {
+        EXPECT_EQ(d, expected);
+      });
+  EXPECT_EQ(twice.context_switches, 2 * a.context_switches);
+  EXPECT_EQ(twice.syncs(SyncCause::MethodRearm),
+            2 * a.syncs(SyncCause::MethodRearm));
+}
+
 }  // namespace
 }  // namespace tdsim

@@ -262,31 +262,83 @@ TEST(MultiDomain, SyncThroughForeignDomainIsError) {
   EXPECT_THROW(k.run(), SimulationError);
 }
 
-TEST(MultiDomain, PerDomainDeltaLivelockLimit) {
-  // Two methods of one domain re-triggering each other forever at one date
-  // trip that domain's own limit -- with the kernel-wide limit disabled --
-  // and the diagnostic names the culprit domain.
-  Kernel k;
-  SyncDomain& chatty = k.create_domain(DomainOptions{.name = "chatty"});
-  chatty.set_delta_cycle_limit(50);
-  Event ping(k, "ping");
-  Event pong(k, "pong");
-  MethodOptions a_opts;
-  a_opts.domain = &chatty;
-  a_opts.sensitivity.push_back(&ping);
-  k.spawn_method("a", [&] { pong.notify_delta(); }, a_opts);
-  MethodOptions b_opts;
-  b_opts.domain = &chatty;
-  b_opts.sensitivity.push_back(&pong);
-  k.spawn_method("b", [&] { ping.notify_delta(); }, b_opts);
-  try {
-    k.run();
-    FAIL() << "expected the domain delta-cycle limit to trip";
-  } catch (const SimulationError& e) {
-    EXPECT_NE(std::string(e.what()).find("chatty"), std::string::npos)
-        << e.what();
+// A domain whose processes stay runnable for more consecutive delta
+// cycles than its own limit trips that limit -- with the kernel-wide limit
+// disabled -- and the diagnostic names the culprit domain and the date.
+// Two culprits: a thread making a bounded run of deltas, and two methods
+// re-triggering each other forever. A second concurrent domain ticking
+// every 7 ns makes the run free-run at workers=2, so there the limit trips
+// inside a lookahead extension; the error must be the same at every worker
+// count. The wave at 10 ns counts as the first delta, so three wait_delta()
+// calls make four consecutive deltas and trip a limit of three exactly.
+class PerDomainDeltaLivelockLimit
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PerDomainDeltaLivelockLimit, TripsAtTheSameDateAtEveryWorkerCount) {
+  for (bool methods : {false, true}) {
+    SCOPED_TRACE(methods ? "method ping-pong" : "thread deltas");
+    Kernel k;
+    k.set_workers(GetParam());
+    SyncDomain& chatty = k.create_domain(
+        {.name = "chatty", .concurrent = true, .delta_cycle_limit = 3});
+    SyncDomain& ticker =
+        k.create_domain({.name = "ticker", .concurrent = true});
+    Event ping(k, "ping");
+    Event pong(k, "pong");
+    ThreadOptions chatty_opts;
+    chatty_opts.domain = &chatty;
+    k.spawn_thread("chatter", [&] {
+      k.wait(10_ns);
+      if (methods) {
+        ping.notify_delta();
+        return;
+      }
+      for (int i = 0; i < 3; ++i) {
+        k.wait_delta();
+      }
+    }, chatty_opts);
+    if (methods) {
+      MethodOptions a_opts;
+      a_opts.domain = &chatty;
+      a_opts.sensitivity.push_back(&ping);
+      a_opts.dont_initialize = true;
+      k.spawn_method("a", [&] { pong.notify_delta(); }, a_opts);
+      MethodOptions b_opts;
+      b_opts.domain = &chatty;
+      b_opts.sensitivity.push_back(&pong);
+      b_opts.dont_initialize = true;
+      k.spawn_method("b", [&] { ping.notify_delta(); }, b_opts);
+    }
+    ThreadOptions ticker_opts;
+    ticker_opts.domain = &ticker;
+    k.spawn_thread("tick", [&] {
+      for (int i = 0; i < 8; ++i) {
+        k.wait(7_ns);
+      }
+    }, ticker_opts);
+    try {
+      k.run();
+      FAIL() << "expected the domain delta-cycle limit to trip";
+    } catch (const DeltaLivelockError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "domain 'chatty' exceeded its delta-cycle limit (3) at "
+                    "date 10 ns"),
+                std::string::npos)
+          << e.what();
+    }
+    ASSERT_NE(k.failure(), nullptr);
+    EXPECT_EQ(k.failure()->kind, FailureKind::DeltaLivelock);
+    if (GetParam() >= 2) {
+      EXPECT_GT(k.stats().lookahead_advances, 0u);
+    }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    MultiDomain, PerDomainDeltaLivelockLimit, ::testing::Values(0u, 2u),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "workers" + std::to_string(info.param);
+    });
 
 TEST(MultiDomain, PerDomainDeltaCountingIgnoresOtherDomainsActivity) {
   // A bounded burst of delta activity in a busy domain must not trip the
@@ -456,34 +508,6 @@ TEST(MultiDomain, SplitDomainSocAttributesSyncsPerDomain) {
             0u);
   EXPECT_EQ(kernel.sync_domain().stats().sync_requests, 0u);
 }
-
-// The deprecated positional create_domain overloads and the SyncDomain
-// mutators must keep forwarding faithfully into the DomainOptions path
-// until they are removed -- exercised here with the warning silenced on
-// purpose (everywhere else the deprecation is a build error under
-// -DTDSIM_WERROR=ON).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(MultiDomain, DeprecatedPositionalSurfaceStillForwards) {
-  Kernel k;
-  SyncDomain& plain = k.create_domain("legacy_plain", 10_ns);
-  EXPECT_EQ(plain.quantum(), 10_ns);
-  EXPECT_FALSE(plain.concurrent());
-  SyncDomain& conc = k.create_domain("legacy_conc", 20_ns, true);
-  EXPECT_TRUE(conc.concurrent());
-  QuantumPolicy policy;
-  policy.min_quantum = 10_ns;
-  policy.max_quantum = 10_us;
-  SyncDomain& tuned = k.create_domain("legacy_tuned", 30_ns, false, policy);
-  ASSERT_NE(tuned.quantum_policy(), nullptr);
-  EXPECT_EQ(tuned.quantum_policy()->max_quantum, 10_us);
-  SyncDomain& mutated = k.create_domain("legacy_mutated", 40_ns);
-  mutated.set_concurrent(true);
-  EXPECT_TRUE(mutated.concurrent());
-  mutated.set_quantum_policy(policy);
-  ASSERT_NE(mutated.quantum_policy(), nullptr);
-}
-#pragma GCC diagnostic pop
 
 TEST(MultiDomain, DomainBoundQuantumKeeper) {
   Kernel k;

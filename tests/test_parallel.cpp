@@ -1,11 +1,11 @@
 // Parallel per-domain execution (Kernel::set_workers): sequential-vs-
 // parallel bit-exactness (dates, delta counts, per-cause sync counts) on
-// single- and multi-group models, concurrency-group formation (explicit
-// set_concurrent/link_domains and channel-discovered links, including
-// links first discovered mid-run), cross-domain Smart-FIFO traffic under
-// 1/2/4 workers, repeated run() reentry, stop() semantics, mid-run stats
-// probes, the TDSIM_WORKERS environment default, and a randomized
-// domain-membership stress (fixed seed).
+// single- and multi-group models, concurrency-group formation
+// (DomainOptions::concurrent, explicit link_domains and channel-discovered
+// links, including links first discovered mid-run), cross-domain
+// Smart-FIFO traffic under 1/2/4 workers, repeated run() reentry, stop()
+// semantics, mid-run stats probes, the TDSIM_WORKERS environment default,
+// and a randomized domain-membership stress (fixed seed).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -557,7 +557,14 @@ TEST(Parallel, RandomizedDomainMembershipStressBitExact) {
 // bit-exactness against workers=0 is the contract.
 // ---------------------------------------------------------------------------
 
+// With `delta_chains`, each cluster also runs a method that wakes every
+// 40 ns -- the same dates in every cluster -- and then re-triggers itself
+// through a notify_delta() chain of seed-random length. Extensions then
+// execute multi-delta waves whose delta counts differ per group at one
+// date, which the merge must combine by per-index max, as the shared
+// sequential delta cycles do.
 Observed run_randomized_cluster_stress(std::size_t workers, unsigned seed,
+                                       bool delta_chains,
                                        std::uint64_t* lookahead_advances) {
   std::mt19937 rng(seed);
   constexpr std::size_t kClusters = 4;
@@ -571,6 +578,13 @@ Observed run_randomized_cluster_stress(std::size_t workers, unsigned seed,
     std::uint32_t checksum = 0;
   };
   std::vector<std::unique_ptr<Stream>> streams;
+  struct Chain {
+    std::unique_ptr<Event> link;
+    int length = 0;
+    int rounds = 6;
+    int remaining = 0;
+  };
+  std::vector<std::unique_ptr<Chain>> chains;
   for (std::size_t c = 0; c < kClusters; ++c) {
     const std::string suffix = std::to_string(c);
     SyncDomain& wd = k.create_domain(
@@ -609,6 +623,31 @@ Observed run_randomized_cluster_stress(std::size_t workers, unsigned seed,
         raw->dates.push_back(k.current_domain().local_time_stamp());
       }
     }, ropts);
+    if (delta_chains) {
+      auto chain = std::make_unique<Chain>();
+      chain->link = std::make_unique<Event>(k, "rcl" + suffix);
+      chain->length = 1 + static_cast<int>(rng() % 6);
+      Chain* raw_chain = chain.get();
+      chains.push_back(std::move(chain));
+      MethodOptions mopts;
+      mopts.domain = &wd;
+      k.spawn_method("rcm" + suffix, [&k, raw_chain] {
+        Chain& ch = *raw_chain;
+        if (ch.remaining == 0) {
+          // A timed activation (or the initial one) starts a new chain.
+          if (ch.rounds-- == 0) {
+            return;  // no re-arm: the method is done
+          }
+          ch.remaining = ch.length;
+        }
+        if (--ch.remaining > 0) {
+          ch.link->notify_delta();
+          k.next_trigger(*ch.link);
+        } else {
+          k.next_trigger(40_ns);
+        }
+      }, mopts);
+    }
   }
   k.run();
   out.capture(k);
@@ -624,17 +663,21 @@ Observed run_randomized_cluster_stress(std::size_t workers, unsigned seed,
 }
 
 TEST(Parallel, RandomizedIndependentClustersFreeRunBitExact) {
-  for (unsigned seed : {11u, 4321u}) {
-    std::uint64_t la_sequential = 0;
-    std::uint64_t la_parallel = 0;
-    const Observed sequential =
-        run_randomized_cluster_stress(0, seed, &la_sequential);
-    const Observed parallel =
-        run_randomized_cluster_stress(4, seed, &la_parallel);
-    expect_observed_equal(sequential, parallel,
-                          "seed=" + std::to_string(seed));
-    EXPECT_EQ(la_sequential, 0u) << "seed=" << seed;
-    EXPECT_GT(la_parallel, 0u) << "seed=" << seed;
+  for (bool delta_chains : {false, true}) {
+    for (unsigned seed : {11u, 4321u}) {
+      const std::string what = "seed=" + std::to_string(seed) +
+                               " delta_chains=" +
+                               std::to_string(delta_chains);
+      std::uint64_t la_sequential = 0;
+      std::uint64_t la_parallel = 0;
+      const Observed sequential = run_randomized_cluster_stress(
+          0, seed, delta_chains, &la_sequential);
+      const Observed parallel = run_randomized_cluster_stress(
+          4, seed, delta_chains, &la_parallel);
+      expect_observed_equal(sequential, parallel, what);
+      EXPECT_EQ(la_sequential, 0u) << what;
+      EXPECT_GT(la_parallel, 0u) << what;
+    }
   }
 }
 
