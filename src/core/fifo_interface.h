@@ -34,7 +34,7 @@ class FifoInterface {
 
   virtual std::size_t depth() const = 0;
 
-  /// Chunked-transfer opt-in (see core/chunk_protocol.h): a capacity >= 2
+  /// Chunked-transfer opt-in (see core/smart_fifo.h): a capacity >= 2
   /// batches the channel's per-element bookkeeping (delta notifications,
   /// per-access syncs, external-view transitions) once per chunk; 0 or 1
   /// restores per-element mode. Channels without a chunked mode ignore

@@ -31,20 +31,48 @@
 // belong to different domains with different quanta: the cell date stamps
 // carry the timing across the domain boundary unchanged.
 //
-// Chunked mode (set_chunk_capacity >= 2, or the TDSIM_CHUNKED default;
-// see core/chunk_protocol.h): the per-element bookkeeping -- delta
-// notification, DomainLink touch, external-view transition checks -- is
-// batched once per chunk. The writer stamps cells privately and
-// publishes whole spans with one release store; occupancy, blocking
-// conditions and block counters read the serialized operation totals
-// directly and are bit-identical to per-element mode (the ring indices
-// become derived views of the totals, `total_writes_ % depth`, so the
-// channel can switch modes mid-run). Blocking paths force-flush both
-// sides before suspending, and the kernel flushes every dirty chunk once
-// per delta-cascade iteration (Kernel::ChunkFlushListener), so every
-// date stays bit-exact with per-element mode -- only notification and
-// accounting *counts* change. The mutation hooks apply to per-element
-// mode only.
+// Chunk publication. Temporal decoupling amortizes synchronization over
+// many operations; chunking amortizes the channel-side bookkeeping the
+// same way. Each side keeps two positions on the ring: how far it has
+// gone (the operation totals, which double as the lifetime counters) and
+// how far it has *published* (the prefix its notifications -- delta wake,
+// DomainLink touch, external-view transition checks -- have covered). A
+// side stamps cells and advances its total on every access, and publishes
+// the pending span once chunk_capacity() elements are pending. At
+// capacity 0 or 1 (the default) every access publishes its own span:
+// that is per-element mode, with one notification per element. At
+// capacity >= 2 (set_chunk_capacity, or the TDSIM_CHUNKED default) the
+// span grows to a chunk and the FIFO registers as a kernel flush listener
+// (Kernel::ChunkFlushListener).
+//
+// Occupancy -- fullness and emptiness, for both the blocking paths and
+// the is_full()/is_empty() probes -- is always computed from the totals,
+// never from the published prefixes: the two sides of one channel share a
+// concurrency group (DomainLink::touch merges them on first contact), so
+// every access is serialized by the kernel and the totals are the ground
+// truth on both sides. Occupancy, blocking conditions and block counters
+// therefore do not depend on the chunk capacity. Ordering of the stamped
+// cells between worker threads comes from the scheduler's task hand-off,
+// not from the channel; the published prefixes are plain counters.
+//
+// Scheduling contract (what makes batching *bit-exact* on the data path):
+// every publication happens at a simulated date no later than the dates
+// stamped on the published elements. Sides publish at chunk boundaries
+// from their own process context; blocking paths publish both sides
+// before suspending; and the kernel publishes every dirty chunk once per
+// delta-cascade iteration (post-update, in Kernel::run() and, filtered to
+// the group, in the lookahead free-run cascades) -- so nothing
+// unpublished survives a drained cascade and simulated time never
+// advances past a dirty chunk. A woken blocked side therefore always
+// resumes at a date the element stamps dominate, and the timing
+// recurrence computes exactly the per-element dates. Only the *counts*
+// batched per chunk (delta notifications, external-event schedulings)
+// change with the capacity -- never data-path dates. One visible
+// artifact of the batched event scheduling: a run whose last pending work
+// is an *unobserved* external-view re-arm can end at a slightly different
+// kernel date, because chunked transfers schedule fewer of those
+// notifications; a synchronized observer of the events still sees every
+// state change at the stamped dates. See README "Channels".
 #pragma once
 
 #include <cstddef>
@@ -53,7 +81,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/chunk_protocol.h"
 #include "core/fifo_interface.h"
 #include "core/mutations.h"
 #include "kernel/domain_link.h"
@@ -84,16 +111,11 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     if (depth == 0) {
       Report::error("SmartFifo " + name_ + ": depth must be >= 1");
     }
-    // Mutation-injected FIFOs (testing only) stay per-element: the
-    // mutation hooks live on the per-element paths, and silently ignoring
-    // an injected bug under the env default would defeat their tests.
-    if (mutations_ == nullptr && kernel_.default_chunk_capacity() > 1) {
-      set_chunk_capacity(kernel_.default_chunk_capacity());
-    }
+    set_chunk_capacity(kernel_.default_chunk_capacity());
   }
 
   ~SmartFifo() override {
-    if (chunked_) {
+    if (chunk_capacity_ >= 2) {
       kernel_.unregister_chunk_flush(this);
     }
   }
@@ -114,26 +136,28 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     Process& p = require_process("write");
     SyncDomain& domain = p.domain();
     LocalClock& clock = p.clock();
-    if (chunked_) {
-      write_chunked(std::move(value), domain, clock);
-      return;
+    if (writes_.count == writes_published_.count) {
+      domain_link_.touch(domain);  // once per chunk, not per element
     }
-    domain_link_.touch(domain);
     check_side_order(clock, last_write_date_, "write");
-    if (busy_count_ == cells_.size()) {
-      // Step 1: internally full -- synchronize, then wait for a free cell.
-      // The synchronization may already let the (possibly decoupled, but
-      // behind in execution order) reader run and free cells, so the
-      // condition is re-checked before suspending on the event.
+    if (writes_.count - reads_.count == cells_.size()) {
+      // Step 1: internally full -- publish both sides (the blocked span's
+      // delta wake must exist for a reader waiting on internal_data_, and
+      // the reader's next publish is what fires internal_space_ below),
+      // synchronize, then wait for a free cell. The synchronization may
+      // already let the (possibly decoupled, but behind in execution
+      // order) reader run and free cells, so the condition is re-checked
+      // before suspending on the event.
+      flush_chunks();
       writer_blocks_++;
       if (!mut(&SmartFifoMutations::skip_sync_on_block)) {
         domain.sync(SyncCause::FifoFull);
       }
-      while (busy_count_ == cells_.size()) {
+      while (writes_.count - reads_.count == cells_.size()) {
         kernel_.wait(internal_space_);
       }
     }
-    Cell& cell = cells_[first_free_];
+    Cell& cell = cells_[writes_.index];
     // Step 2: the cell may still be "occupied" in real time; push the
     // writer's local date to the date the cell was freed.
     if (!mut(&SmartFifoMutations::skip_writer_time_bump)) {
@@ -141,31 +165,17 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     }
     const Time date = clock.now();
     last_write_date_ = date;
-    const bool was_internally_empty = (busy_count_ == 0);
     // Step 3: fill the cell and stamp the insertion.
     cell.data = std::move(value);
     cell.busy = true;
     if (!mut(&SmartFifoMutations::skip_insertion_date)) {
       cell.insertion_date = date;
     }
-    first_free_ = next_index(first_free_);
-    busy_count_++;
-    total_writes_++;
-    // Step 4: wake up a blocked reader, if any.
-    internal_data_.notify_delta();
-    // External view (paper SIII.B, not_empty case 1): the FIFO stopped
-    // being internally empty; observers must see data appear at the
-    // insertion date.
-    if (was_internally_empty) {
-      schedule_external(not_empty_, date);
-    }
-    // not_full case 2: the next free cell exists but is still occupied in
-    // real time until its freeing date.
-    if (busy_count_ < cells_.size()) {
-      const Time freeing = cells_[first_free_].freeing_date;
-      if (freeing > date) {
-        schedule_external(not_full_, freeing);
-      }
+    advance(writes_);
+    // Step 4: publish the span once the chunk is full (every write in
+    // per-element mode).
+    if (writes_.count - writes_published_.count >= chunk_capacity_) {
+      publish_writes();
     }
   }
 
@@ -175,28 +185,13 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   bool is_full() override {
     Process* p = kernel_.current_process();
     domain_link_.touch(p != nullptr ? p->domain() : kernel_.sync_domain());
-    if (chunked_) {
-      // Occupancy reads the serialized totals -- the ground truth on both
-      // sides (chunk_protocol.h) -- so the chunked view is bit-identical
-      // to the per-element busy_count_ test; only the re-arm notification
-      // below is batched differently.
-      if (total_writes_ - total_reads_ == cells_.size()) {
-        return true;
-      }
-      const Time freeing = cell_at(total_writes_).freeing_date;
-      if (freeing > (p != nullptr ? p->clock().now() : kernel_.now())) {
-        schedule_external_chunked(not_full_, freeing);
-        return true;
-      }
-      return false;
-    }
-    if (busy_count_ == cells_.size()) {
+    if (writes_.count - reads_.count == cells_.size()) {
       return true;
     }
     if (mut(&SmartFifoMutations::naive_is_full)) {
       return false;
     }
-    const Time freeing = cells_[first_free_].freeing_date;
+    const Time freeing = cells_[writes_.index].freeing_date;
     // From scheduler context (no process) the local date degenerates to
     // the global date, as local_time_stamp() used to.
     if (freeing > (p != nullptr ? p->clock().now() : kernel_.now())) {
@@ -222,23 +217,23 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     Process& p = require_process("read");
     SyncDomain& domain = p.domain();
     LocalClock& clock = p.clock();
-    if (chunked_) {
-      return read_chunked(domain, clock);
+    if (reads_.count == reads_published_.count) {
+      domain_link_.touch(domain);
     }
-    domain_link_.touch(domain);
     check_side_order(clock, last_read_date_, "read");
-    if (busy_count_ == 0) {
-      // Internally empty -- synchronize, then wait for data; re-check
-      // after the synchronization (see write()).
+    if (writes_.count == reads_.count) {
+      // Internally empty -- publish, synchronize, then wait for data;
+      // re-check after the synchronization (see write()).
+      flush_chunks();
       reader_blocks_++;
       if (!mut(&SmartFifoMutations::skip_sync_on_block)) {
         domain.sync(SyncCause::FifoEmpty);
       }
-      while (busy_count_ == 0) {
+      while (writes_.count == reads_.count) {
         kernel_.wait(internal_data_);
       }
     }
-    Cell& cell = cells_[first_busy_];
+    Cell& cell = cells_[reads_.index];
     // The data may not have arrived yet in real time; push the reader's
     // local date to the insertion date.
     if (!mut(&SmartFifoMutations::skip_reader_time_bump)) {
@@ -246,29 +241,14 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     }
     const Time date = clock.now();
     last_read_date_ = date;
-    const bool was_internally_full = (busy_count_ == cells_.size());
     T value = std::move(cell.data);
     cell.busy = false;
     if (!mut(&SmartFifoMutations::skip_freeing_date)) {
       cell.freeing_date = date;
     }
-    first_busy_ = next_index(first_busy_);
-    busy_count_--;
-    total_reads_++;
-    // Wake up a blocked writer, if any.
-    internal_space_.notify_delta();
-    // External view: the FIFO stopped being internally full; space appears
-    // at the freeing date (paper SIII.B, not_full case 1).
-    if (was_internally_full) {
-      schedule_external(not_full_, date);
-    }
-    // not_empty case 2: the next busy cell exists but its data only
-    // arrives in real time at its insertion date.
-    if (busy_count_ > 0) {
-      const Time insertion = cells_[first_busy_].insertion_date;
-      if (insertion > date) {
-        schedule_external(not_empty_, insertion);
-      }
+    advance(reads_);
+    if (reads_.count - reads_published_.count >= chunk_capacity_) {
+      publish_reads();
     }
     return value;
   }
@@ -280,26 +260,13 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   bool is_empty() override {
     Process* p = kernel_.current_process();
     domain_link_.touch(p != nullptr ? p->domain() : kernel_.sync_domain());
-    if (chunked_) {
-      // Mirror of the chunked is_full() view: the serialized totals are
-      // the per-element busy_count_ test, bit-identically.
-      if (total_writes_ == total_reads_) {
-        return true;
-      }
-      const Time insertion = cell_at(total_reads_).insertion_date;
-      if (insertion > (p != nullptr ? p->clock().now() : kernel_.now())) {
-        schedule_external_chunked(not_empty_, insertion);
-        return true;
-      }
-      return false;
-    }
-    if (busy_count_ == 0) {
+    if (writes_.count == reads_.count) {
       return true;
     }
     if (mut(&SmartFifoMutations::naive_is_empty)) {
       return false;
     }
-    const Time insertion = cells_[first_busy_].insertion_date;
+    const Time insertion = cells_[reads_.index].insertion_date;
     if (insertion > (p != nullptr ? p->clock().now() : kernel_.now())) {
       // Externally empty until `insertion`; re-arm the delayed
       // notification (see is_full()).
@@ -332,7 +299,7 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     domain.sync(SyncCause::Monitor);
     monitor_queries_++;
     if (mut(&SmartFifoMutations::naive_get_size)) {
-      return busy_count_;
+      return internal_size();
     }
     const Time now = kernel_.now();
     std::size_t count = 0;
@@ -395,40 +362,25 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   /// Internal occupancy (how many cells hold data, regardless of dates).
   /// Debug only -- the real occupancy is get_size().
   std::size_t internal_size() const {
-    return chunked_ ? static_cast<std::size_t>(total_writes_ - total_reads_)
-                    : busy_count_;
+    return static_cast<std::size_t>(writes_.count - reads_.count);
   }
 
-  /// Chunked-transfer opt-in (see the header comment and
-  /// core/chunk_protocol.h). A capacity >= 2 enters chunked mode (or
-  /// re-sizes the chunk from a flushed boundary); 0 or 1 publishes
-  /// everything and returns to per-element mode. Mode switches are legal
-  /// mid-run from any context serialized with both sides -- typically one
-  /// of the channel's own processes, or elaboration -- even while the
-  /// peer is suspended in a blocking access (the blocking paths
-  /// re-dispatch on resume when the mode changed under them).
+  /// Chunk size (see the header comment). A capacity >= 2 batches
+  /// publications into chunks of that size; 0 or 1 publishes every
+  /// access (per-element mode, reported as 0). Either way the pending
+  /// spans are published first, so the capacity may change mid-run from
+  /// any context serialized with both sides -- typically one of the
+  /// channel's own processes, or elaboration -- even while a side is
+  /// suspended in a blocking access.
   void set_chunk_capacity(std::size_t capacity) override {
-    if (capacity >= 2) {
-      if (chunked_) {
-        flush_chunks();  // re-size from a clean chunk boundary
-      } else {
-        // Entering chunked mode: per-element state is fully visible by
-        // definition, and the per-element cursors are provably
-        // total % depth, so the counters reconcile exactly.
-        chunk_.reset(total_writes_, total_reads_);
-        chunked_ = true;
-        kernel_.register_chunk_flush(this);
-      }
-      chunk_capacity_ = capacity;
-    } else if (chunked_) {
-      flush_chunks();
-      first_free_ = static_cast<std::size_t>(total_writes_ % cells_.size());
-      first_busy_ = static_cast<std::size_t>(total_reads_ % cells_.size());
-      busy_count_ = static_cast<std::size_t>(total_writes_ - total_reads_);
-      chunked_ = false;
-      chunk_capacity_ = 0;
+    flush_chunks();
+    const bool batched = capacity >= 2;
+    if (batched && chunk_capacity_ < 2) {
+      kernel_.register_chunk_flush(this);
+    } else if (!batched && chunk_capacity_ >= 2) {
       kernel_.unregister_chunk_flush(this);
     }
+    chunk_capacity_ = batched ? capacity : 0;
   }
   std::size_t chunk_capacity() const override { return chunk_capacity_; }
 
@@ -447,8 +399,8 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     return domain_link_.first_domain();
   }
 
-  std::uint64_t total_writes() const override { return total_writes_; }
-  std::uint64_t total_reads() const override { return total_reads_; }
+  std::uint64_t total_writes() const override { return writes_.count; }
+  std::uint64_t total_reads() const override { return reads_.count; }
   /// Number of times the writer (reader) suspended on an internally
   /// full (empty) FIFO -- i.e. the context switches the paper counts.
   std::uint64_t writer_blocks() const { return writer_blocks_; }
@@ -485,8 +437,16 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     bool busy = false;
   };
 
-  std::size_t next_index(std::size_t i) const {
-    return (i + 1 == cells_.size()) ? 0 : i + 1;
+  /// A position on one side of the ring: an operation total and the cell
+  /// it designates (count % depth, kept wrapped so no access divides).
+  struct Cursor {
+    std::uint64_t count = 0;
+    std::size_t index = 0;
+  };
+
+  void advance(Cursor& cursor) const {
+    cursor.count++;
+    cursor.index = (cursor.index + 1 == cells_.size()) ? 0 : cursor.index + 1;
   }
 
   bool mut(bool SmartFifoMutations::* flag) const {
@@ -522,9 +482,12 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     }
   }
 
-  /// Schedules an external-view event at absolute date `at` (>= now). The
+  /// Schedules an external-view event at absolute date `at`. The
   /// notification is delayed so that synchronized observers see the state
-  /// change exactly when the real FIFO changes (paper SIII.B).
+  /// change exactly when the real FIFO changes (paper SIII.B). A kernel
+  /// flush can publish from scheduler context at a date past a stamped
+  /// one; the saturating subtraction then degrades the stale `at` to a
+  /// delta notification.
   void schedule_external(Event& event, Time at) {
     if (mut(&SmartFifoMutations::undelayed_external_events)) {
       event.notify_delta();
@@ -533,122 +496,34 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     event.notify(at - kernel_.now());
   }
 
-  /// Chunked-mode variant: flush points can run from scheduler context at
-  /// a date past the stamped one, so a stale `at` degrades to a delta
-  /// notification instead of underflowing the delay.
-  void schedule_external_chunked(Event& event, Time at) {
-    const Time now = kernel_.now();
-    if (at >= now) {
-      event.notify(at - now);
-    } else {
-      event.notify_delta();
-    }
-  }
-
-  Cell& cell_at(std::uint64_t counter) {
-    return cells_[static_cast<std::size_t>(counter % cells_.size())];
-  }
-
-  /// Chunked write (see the header comment): stamp privately, publish at
-  /// chunk boundaries. The blocking condition reads the serialized totals
-  /// -- exactly the per-element busy_count_ test, so blocking happens (and
-  /// writer_blocks_ counts) precisely when per-element mode blocks.
-  void write_chunked(T value, SyncDomain& domain, LocalClock& clock) {
-    if (total_writes_ == chunk_.produced_published()) {
-      domain_link_.touch(domain);  // once per chunk, not per element
-    }
-    check_side_order(clock, last_write_date_, "write");
-    if (total_writes_ - total_reads_ == cells_.size()) {
-      // Publish both sides before suspending: the blocked span's delta
-      // wake must exist for a reader waiting on internal_data_, and the
-      // reader's next publish is what fires internal_space_ below.
-      flush_chunks();
-      writer_blocks_++;
-      domain.sync(SyncCause::FifoFull);
-      while (total_writes_ - total_reads_ == cells_.size()) {
-        kernel_.wait(internal_space_);
-      }
-      if (!chunked_) {
-        // The mode was switched back to per-element while we were
-        // suspended (set_chunk_capacity reconstructed the cursors before
-        // this element was written); finishing on the chunked tail would
-        // leave them one element behind. Re-dispatch: write() re-checks a
-        // now-false full condition, so nothing double-counts.
-        write(std::move(value));
-        return;
-      }
-    }
-    Cell& cell = cell_at(total_writes_);
-    clock.advance_to(cell.freeing_date);
-    const Time date = clock.now();
-    last_write_date_ = date;
-    cell.data = std::move(value);
-    cell.busy = true;
-    cell.insertion_date = date;
-    total_writes_++;
-    if (total_writes_ - chunk_.produced_published() >= chunk_capacity_) {
-      publish_writes();
-    }
-  }
-
-  /// Chunked read, symmetric to write_chunked().
-  T read_chunked(SyncDomain& domain, LocalClock& clock) {
-    if (total_reads_ == chunk_.consumed_published()) {
-      domain_link_.touch(domain);
-    }
-    check_side_order(clock, last_read_date_, "read");
-    if (total_writes_ == total_reads_) {
-      flush_chunks();
-      reader_blocks_++;
-      domain.sync(SyncCause::FifoEmpty);
-      while (total_writes_ == total_reads_) {
-        kernel_.wait(internal_data_);
-      }
-      if (!chunked_) {
-        // Mode switched away while suspended -- see write_chunked().
-        return read();
-      }
-    }
-    Cell& cell = cell_at(total_reads_);
-    clock.advance_to(cell.insertion_date);
-    const Time date = clock.now();
-    last_read_date_ = date;
-    T value = std::move(cell.data);
-    cell.busy = false;
-    cell.freeing_date = date;
-    total_reads_++;
-    if (total_reads_ - chunk_.consumed_published() >= chunk_capacity_) {
-      publish_reads();
-    }
-    return value;
-  }
-
-  /// One release store for the whole pending write span, one delta wake,
-  /// and the external-view checks per-element ran on every write run once
-  /// against the span's boundary cells.
+  /// Publishes the pending write span: one delta wake, and the
+  /// external-view transition checks run once against the span's
+  /// boundary cells.
   bool publish_writes() {
-    if (total_writes_ == chunk_.produced_published()) {
+    if (writes_.count == writes_published_.count) {
       return false;
     }
-    const std::uint64_t from = chunk_.produced_published();
+    const Cursor from = writes_published_;
     // Transition tests run on the *published* view (what the events have
     // told observers so far); the published view catches up to the totals
     // at every cascade iteration, so every empty->nonempty transition
     // fires here no later than one flush after the truth changed -- at
     // the same simulated date.
-    const bool was_published_empty = (from == chunk_.consumed_published());
-    chunk_.publish_produced(total_writes_);
+    const bool was_published_empty = (from.count == reads_published_.count);
+    writes_published_ = writes_;
+    // Wake up a blocked reader, if any.
     internal_data_.notify_delta();
     if (was_published_empty) {
-      // not_empty case 1: data appears at the first published insertion.
-      schedule_external_chunked(not_empty_, cell_at(from).insertion_date);
+      // not_empty case 1: the FIFO stopped being empty; observers must
+      // see data appear at the first published insertion.
+      schedule_external(not_empty_, cells_[from.index].insertion_date);
     }
     // not_full case 2: the next write target exists but stays occupied in
     // real time until its freeing date.
-    if (total_writes_ - chunk_.consumed_published() < cells_.size()) {
-      const Time freeing = cell_at(total_writes_).freeing_date;
+    if (writes_.count - reads_published_.count < cells_.size()) {
+      const Time freeing = cells_[writes_.index].freeing_date;
       if (freeing > last_write_date_) {
-        schedule_external_chunked(not_full_, freeing);
+        schedule_external(not_full_, freeing);
       }
     }
     return true;
@@ -656,24 +531,25 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
 
   /// Reader-side mirror of publish_writes().
   bool publish_reads() {
-    if (total_reads_ == chunk_.consumed_published()) {
+    if (reads_.count == reads_published_.count) {
       return false;
     }
-    const std::uint64_t from = chunk_.consumed_published();
+    const Cursor from = reads_published_;
     const bool was_published_full =
-        (chunk_.produced_published() - from == cells_.size());
-    chunk_.publish_consumed(total_reads_);
+        (writes_published_.count - from.count == cells_.size());
+    reads_published_ = reads_;
+    // Wake up a blocked writer, if any.
     internal_space_.notify_delta();
     if (was_published_full) {
       // not_full case 1: space appears at the first published freeing.
-      schedule_external_chunked(not_full_, cell_at(from).freeing_date);
+      schedule_external(not_full_, cells_[from.index].freeing_date);
     }
     // not_empty case 2: published data remains but only arrives in real
     // time at its insertion date.
-    if (chunk_.produced_published() != total_reads_) {
-      const Time insertion = cell_at(total_reads_).insertion_date;
+    if (writes_published_.count != reads_.count) {
+      const Time insertion = cells_[reads_.index].insertion_date;
       if (insertion > last_read_date_) {
-        schedule_external_chunked(not_empty_, insertion);
+        schedule_external(not_empty_, insertion);
       }
     }
     return true;
@@ -692,11 +568,17 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   /// quantum controller shrinks the quantum on.
   DomainLink domain_link_{name_};
 
-  /// Index of the first free cell (next write target).
-  std::size_t first_free_ = 0;
-  /// Index of the first busy cell (next read target).
-  std::size_t first_busy_ = 0;
-  std::size_t busy_count_ = 0;
+  /// Next write target / next read target; their counts are the lifetime
+  /// totals and their difference is the internal occupancy.
+  Cursor writes_;
+  Cursor reads_;
+  /// The prefixes each side's notifications have covered (see the header
+  /// comment); equal to the totals after every access in per-element
+  /// mode.
+  Cursor writes_published_;
+  Cursor reads_published_;
+  /// 0 = per-element (publish every access); >= 2 = chunk size.
+  std::size_t chunk_capacity_ = 0;
 
   Time last_write_date_{};
   Time last_read_date_{};
@@ -709,19 +591,9 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   Event not_empty_;
   Event not_full_;
 
-  std::uint64_t total_writes_ = 0;
-  std::uint64_t total_reads_ = 0;
   std::uint64_t writer_blocks_ = 0;
   std::uint64_t reader_blocks_ = 0;
   std::uint64_t monitor_queries_ = 0;
-
-  /// Chunked mode (see core/chunk_protocol.h). In chunked mode the
-  /// per-element cursors (first_free_ / first_busy_ / busy_count_) are
-  /// dormant -- the totals are the cursors -- and are reconstructed on
-  /// the way back to per-element mode.
-  bool chunked_ = false;
-  std::size_t chunk_capacity_ = 0;
-  ChunkSpscCore chunk_;
 };
 
 }  // namespace tdsim

@@ -36,8 +36,6 @@ class SyncFifo final : public FifoInterface<T> {
   SyncFifo(Kernel& kernel, std::string name, std::size_t depth)
       : kernel_(kernel), fifo_(kernel, std::move(name), depth) {
     domain_link_.set_label(fifo_.name());
-    // fifo_ adopted the kernel default itself; mirror it on the sync side.
-    chunk_capacity_ = kernel_.default_chunk_capacity();
   }
 
   /// Sync-cause hint for the adaptive quantum controller: the per-access
@@ -58,7 +56,8 @@ class SyncFifo final : public FifoInterface<T> {
 
   void write(T value) override {
     SyncDomain& domain = kernel_.current_domain();
-    if (chunk_capacity_ <= 1 || write_accesses_ % chunk_capacity_ == 0) {
+    const std::size_t chunk = fifo_.chunk_capacity();
+    if (chunk == 0 || write_accesses_ % chunk == 0) {
       domain.sync(data_sync_cause_);
     } else {
       domain.sync_unbooked();
@@ -69,7 +68,8 @@ class SyncFifo final : public FifoInterface<T> {
 
   T read() override {
     SyncDomain& domain = kernel_.current_domain();
-    if (chunk_capacity_ <= 1 || read_accesses_ % chunk_capacity_ == 0) {
+    const std::size_t chunk = fifo_.chunk_capacity();
+    if (chunk == 0 || read_accesses_ % chunk == 0) {
       domain.sync(data_sync_cause_);
     } else {
       domain.sync_unbooked();
@@ -108,13 +108,14 @@ class SyncFifo final : public FifoInterface<T> {
   std::uint64_t total_writes() const override { return fifo_.total_writes(); }
   std::uint64_t total_reads() const override { return fifo_.total_reads(); }
 
-  /// Chunked sync elision (see the header comment); also forwarded to the
-  /// underlying Fifo's notification batching.
+  /// Chunked sync elision (see the header comment), at the underlying
+  /// Fifo's notification-batching capacity.
   void set_chunk_capacity(std::size_t capacity) override {
-    chunk_capacity_ = capacity >= 2 ? capacity : 0;
     fifo_.set_chunk_capacity(capacity);
   }
-  std::size_t chunk_capacity() const override { return chunk_capacity_; }
+  std::size_t chunk_capacity() const override {
+    return fifo_.chunk_capacity();
+  }
 
   Fifo<T>& underlying() { return fifo_; }
 
@@ -125,8 +126,6 @@ class SyncFifo final : public FifoInterface<T> {
   Fifo<T> fifo_;
   /// See set_data_sync_cause().
   SyncCause data_sync_cause_ = SyncCause::Explicit;
-  /// Chunked sync elision (0 = sync on every data access).
-  std::size_t chunk_capacity_ = 0;
   std::uint64_t write_accesses_ = 0;
   std::uint64_t read_accesses_ = 0;
 };

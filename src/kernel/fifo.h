@@ -45,7 +45,7 @@ class Fifo : public ChunkFlushListener {
   }
 
   ~Fifo() override {
-    if (chunk_registered_) {
+    if (chunk_capacity_ >= 2) {
       kernel_.unregister_chunk_flush(this);
     }
   }
@@ -135,16 +135,14 @@ class Fifo : public ChunkFlushListener {
   /// any pending notifications and restores per-access delta notifies.
   void set_chunk_capacity(std::size_t capacity) {
     if (capacity >= 2) {
-      chunk_capacity_ = capacity;
-      if (!chunk_registered_) {
+      if (chunk_capacity_ < 2) {
         kernel_.register_chunk_flush(this);
-        chunk_registered_ = true;
       }
-    } else if (chunk_registered_) {
+      chunk_capacity_ = capacity;
+    } else if (chunk_capacity_ >= 2) {
       flush_chunks();
       chunk_capacity_ = 0;
       kernel_.unregister_chunk_flush(this);
-      chunk_registered_ = false;
     }
   }
   std::size_t chunk_capacity() const { return chunk_capacity_; }
@@ -212,11 +210,11 @@ class Fifo : public ChunkFlushListener {
   std::uint64_t total_reads_ = 0;
   std::uint64_t writes_blocked_ = 0;
   std::uint64_t reads_blocked_ = 0;
-  /// Chunked notification batching (0 = per-element mode).
+  /// Chunked notification batching (0 = per-element mode; >= 2 = chunk
+  /// size, registered as a kernel flush listener).
   std::size_t chunk_capacity_ = 0;
   std::size_t pending_written_ = 0;
   std::size_t pending_read_ = 0;
-  bool chunk_registered_ = false;
 };
 
 }  // namespace tdsim

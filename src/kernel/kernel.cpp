@@ -245,7 +245,7 @@ std::size_t Kernel::quantum_trace_depth() const {
 }
 
 // --------------------------------------------------------------------------
-// Chunked channels (see core/chunk_protocol.h and ChunkFlushListener)
+// Chunked channels (see core/smart_fifo.h and ChunkFlushListener)
 // --------------------------------------------------------------------------
 
 void Kernel::register_chunk_flush(ChunkFlushListener* listener) {
@@ -999,6 +999,11 @@ void Kernel::reserve_scheduler_arena() {
   stats_.arena_reserved_bytes += after - before;
 }
 
+std::size_t Kernel::delta_buffer_capacity() const {
+  return std::min(main_scope_.delta_resume.capacity(),
+                  main_scope_.delta_notifications.capacity());
+}
+
 // --------------------------------------------------------------------------
 // The evaluation cascade (see README "Parallel execution")
 //
@@ -1080,19 +1085,23 @@ __attribute__((always_inline)) inline bool Kernel::run_cascade_iteration(
     stats_.delta_cycles++;
   }
   check_delta_limit(scope);
-  for (Process* p : std::exchange(scope.delta_resume, {})) {
+  // Both buffers are drained in place and cleared, keeping their
+  // capacity (the scheduler arena): make_runnable() and trigger_event()
+  // only fill the runnable queue, so nothing appends to them meanwhile.
+  for (Process* p : scope.delta_resume) {
     if (p->state_ != ProcessState::Terminated) {
       make_runnable(p);
     }
   }
-  for (auto& [event, generation] :
-       std::exchange(scope.delta_notifications, {})) {
+  scope.delta_resume.clear();
+  for (auto& [event, generation] : scope.delta_notifications) {
     if (event->pending_ == Event::Pending::Delta &&
         event->generation_ == generation) {
       event->pending_ = Event::Pending::None;
       trigger_event(*event);
     }
   }
+  scope.delta_notifications.clear();
   check_domain_delta_limits(scope);
   return true;
 }

@@ -61,7 +61,7 @@ class UpdateListener {
 };
 
 /// Implemented by channels running in chunked mode (see
-/// core/chunk_protocol.h). The scheduler calls flush_chunks() at every
+/// core/smart_fifo.h). The scheduler calls flush_chunks() at every
 /// cascade-drained point *before* simulated time advances -- the global
 /// horizon in run(), and each group-local wave boundary inside a lookahead
 /// free-run extension -- so a partially filled chunk is never outrun by
@@ -231,6 +231,13 @@ class Kernel {
   /// processes and the thread driving run().
   const KernelStats& stats() const;
 
+  /// Capacity, in records, of the kernel's delta-resume and
+  /// delta-notification buffers (the smaller of the two). The scheduler
+  /// arena reserves both to the elaborated process count (see
+  /// KernelStats::arena_reserved_bytes) and draining keeps that block.
+  /// For tests and diagnostics.
+  std::size_t delta_buffer_capacity() const;
+
   // --- snapshot forking (see kernel/snapshot.h) ---
 
   /// Runs `step(*this)` immediately AND records it in the construction
@@ -337,7 +344,7 @@ class Kernel {
   /// groups differ. Mainly for tests and diagnostics.
   std::size_t domain_group(const SyncDomain& domain) const;
 
-  // --- chunked channels (see core/chunk_protocol.h) ---
+  // --- chunked channels (see core/smart_fifo.h) ---
 
   /// Registers a channel running in chunked mode; the scheduler flushes
   /// it at every cascade-drained point before time advances. Channels

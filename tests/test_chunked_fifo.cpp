@@ -1,4 +1,4 @@
-// Chunked channel modes (core/chunk_protocol.h): cross-domain SmartFifo
+// Chunked channel modes (core/smart_fifo.h): cross-domain SmartFifo
 // transfer under lookahead free-running stays bit-exact with per-element
 // mode and with itself across worker counts, mid-run mode switches are
 // clean, partial chunks flush at horizons and at run() exit, and the

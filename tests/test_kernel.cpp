@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cfenv>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -343,6 +344,34 @@ TEST(Kernel, WaitDeltaYieldsWithinSameDate) {
   k.spawn_thread("b", [&] { order.push_back("b1"); });
   k.run();
   EXPECT_EQ(order, (std::vector<std::string>{"a1", "b1", "a2"}));
+}
+
+TEST(Kernel, DeltaBuffersKeepTheirArenaCapacity) {
+  // The scheduler arena reserves the delta-resume and delta-notification
+  // buffers to the process count before the first wave; draining them at
+  // every delta iteration must keep that block, so steady state never
+  // regrows them.
+  Kernel k;
+  k.set_workers(0);  // the kernel's own buffers, not a group task's
+  constexpr std::size_t kThreads = 50;
+  std::deque<Event> events;
+  std::vector<std::size_t> capacities;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    Event& e = events.emplace_back(k, "e" + std::to_string(i));
+    k.spawn_thread("t" + std::to_string(i), [&k, &e, &capacities] {
+      for (int round = 0; round < 3; ++round) {
+        e.notify_delta();
+        k.wait_delta();
+        capacities.push_back(k.delta_buffer_capacity());
+      }
+    });
+  }
+  k.run();
+  ASSERT_EQ(capacities.size(), 3 * kThreads);
+  for (std::size_t capacity : capacities) {
+    EXPECT_EQ(capacity, capacities.front());
+  }
+  EXPECT_GE(capacities.front(), kThreads);
 }
 
 TEST(Kernel, SimultaneousTimeoutsFireInScheduleOrder) {

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "core/mutations.h"
+#include "core/smart_fifo.h"
+#include "kernel/kernel.h"
 #include "kernel/report.h"
 #include "trace/scenario.h"
 
@@ -172,15 +174,23 @@ std::vector<Scenario> detection_battery() {
   return battery;
 }
 
+/// The chunk capacities every mutation must be caught at: per-element
+/// transfers, and chunked ones (the hooks sit on the one data path, so a
+/// mutant may not hide behind batched publication).
+constexpr std::size_t kChunkCapacities[] = {0, 16};
+
 /// Returns true when at least one battery scenario detects the mutation:
 /// its mutated SmartDecoupled trace differs from the Reference trace, or
-/// the mutated run raises a simulation error.
-bool mutation_detected(const SmartFifoMutations& mutations) {
+/// the mutated run raises a simulation error. Every FIFO of both runs is
+/// built at `chunk_capacity`.
+bool mutation_detected(const SmartFifoMutations& mutations,
+                       std::size_t chunk_capacity) {
   for (const Scenario& inner : detection_battery()) {
     // Guard against delta-cycle livelock (e.g. un-delayed notifications
     // re-triggering a guarded method forever at the same date).
-    const Scenario scenario = [&inner](ScenarioEnv& env) {
+    const Scenario scenario = [&inner, chunk_capacity](ScenarioEnv& env) {
       env.kernel().set_delta_cycle_limit(100000);
+      env.kernel().set_default_chunk_capacity(chunk_capacity);
       inner(env);
     };
     auto reference = trace::run_scenario(scenario, Mode::Reference);
@@ -200,65 +210,88 @@ bool mutation_detected(const SmartFifoMutations& mutations) {
   return false;
 }
 
+/// Expects `mutations` to be caught at every chunk capacity.
+void expect_caught(const SmartFifoMutations& mutations) {
+  for (std::size_t capacity : kChunkCapacities) {
+    EXPECT_TRUE(mutation_detected(mutations, capacity))
+        << "escaped at chunk capacity " << capacity;
+  }
+}
+
 /// Sanity: with no mutation, the battery must pass everywhere.
 TEST(Mutation, NoMutationPassesEntireBattery) {
   SmartFifoMutations none;
   EXPECT_FALSE(none.any());
-  EXPECT_FALSE(mutation_detected(none));
+  for (std::size_t capacity : kChunkCapacities) {
+    EXPECT_FALSE(mutation_detected(none, capacity))
+        << "false alarm at chunk capacity " << capacity;
+  }
+}
+
+/// The capacity-16 input is live: a mutation-injected FIFO takes the
+/// kernel's default chunk capacity like any other, so the battery above
+/// runs its mutants through chunked publication.
+TEST(Mutation, MutatedFifoAdoptsTheKernelChunkCapacity) {
+  Kernel k;
+  k.set_default_chunk_capacity(16);
+  SmartFifoMutations m;
+  m.skip_writer_time_bump = true;
+  SmartFifo<int> fifo(k, "f", 4, &m);
+  EXPECT_EQ(fifo.chunk_capacity(), 16u);
 }
 
 TEST(Mutation, SkipWriterTimeBumpIsCaught) {
   SmartFifoMutations m;
   m.skip_writer_time_bump = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 TEST(Mutation, SkipReaderTimeBumpIsCaught) {
   SmartFifoMutations m;
   m.skip_reader_time_bump = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 TEST(Mutation, SkipInsertionDateIsCaught) {
   SmartFifoMutations m;
   m.skip_insertion_date = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 TEST(Mutation, SkipFreeingDateIsCaught) {
   SmartFifoMutations m;
   m.skip_freeing_date = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 TEST(Mutation, NaiveIsEmptyIsCaught) {
   SmartFifoMutations m;
   m.naive_is_empty = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 TEST(Mutation, NaiveIsFullIsCaught) {
   SmartFifoMutations m;
   m.naive_is_full = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 TEST(Mutation, UndelayedExternalEventsIsCaught) {
   SmartFifoMutations m;
   m.undelayed_external_events = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 TEST(Mutation, NaiveGetSizeIsCaught) {
   SmartFifoMutations m;
   m.naive_get_size = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 TEST(Mutation, SkipSyncOnBlockIsCaught) {
   SmartFifoMutations m;
   m.skip_sync_on_block = true;
-  EXPECT_TRUE(mutation_detected(m));
+  expect_caught(m);
 }
 
 }  // namespace
